@@ -11,7 +11,3 @@ class ConfigError(EchoforgeError):
 
 class InputError(EchoforgeError):
     """Invalid runtime input: shape mismatch, non-finite samples, silent signal."""
-
-
-class StateError(EchoforgeError):
-    """Operation called on an uninitialized or incompatible state."""

@@ -6,8 +6,8 @@ and the reference are then transformed on the shared frame clock and
 walked frame by frame through double-talk probability, the two residual
 echo power trackers, noise power estimation, the masking suppressor and
 the voice activity detector. Everything is deterministic given inputs
-and parameters; one PipelineState (held inside process_stream) is
-strictly sequential and never shared between streams.
+and parameters; the per-stream estimator state (held inside
+process_stream) is strictly sequential and never shared between streams.
 
 Output sample n depends on input samples up to n + frame_len - 1 (one
 analysis frame of lookahead from the overlap-add synthesis).
@@ -55,16 +55,13 @@ class EnhanceResult:
 def process_stream(mic: AudioBuffer, reference: AudioBuffer,
                    params: PipelineParams | None = None,
                    stft_cfg: StftConfig | None = None,
-                   collect_diagnostics: bool = False,
-                   freeze_raec: bool = False,
-                   force_unity_mask: bool = False,
-                   check_finite: bool = False) -> EnhanceResult:
+                   collect_diagnostics: bool = False) -> EnhanceResult:
     """Run the whole front end over one mic/reference pair.
 
     The shorter signal is zero-padded; the enhanced output has exactly
-    the mic's length. freeze_raec pins the canceler weights at zero and
-    force_unity_mask pins the masking gain at one (debug paths used to
-    verify transparent reconstruction).
+    the mic's length. collect_diagnostics keeps the per-frame traces in
+    the result. Raises InputError if the enhanced output is not finite:
+    the AudioBuffer that carries it rejects NaN and Inf.
     """
     if params is None:
         params = build_pipeline_params()
@@ -82,13 +79,7 @@ def process_stream(mic: AudioBuffer, reference: AudioBuffer,
     x = np.zeros(length)
     x[: len(reference)] = reference.samples
 
-    if freeze_raec:
-        e = y.copy()
-        d_hat = np.zeros(length)
-    else:
-        e, d_hat, _, _ = cascade_run(x, y, params.raec1, params.raec2)
-        e = e[:length]
-        d_hat = d_hat[:length]
+    e, d_hat, _, _ = cascade_run(x, y, params.raec1, params.raec2)
 
     rate = mic.sample_rate
     spec_y = analyze(AudioBuffer(y, rate), stft_cfg)
@@ -121,19 +112,9 @@ def process_stream(mic: AudioBuffer, reference: AudioBuffer,
         noise_power = npe.update(spec_e[m])
         s_hat, xi, gamma, zeta = suppressor.process_frame(
             spec_e[m], noise_power, residual_power)
-        if force_unity_mask:
-            zeta = np.ones(n_bins)
-            s_hat = spec_e[m].copy()
-            suppressor.prev_clean_power = np.abs(s_hat) ** 2
         statistic = vad_statistic(xi, gamma)
         flags.append(vad.decide(statistic))
         out_frames[m] = s_hat
-        if check_finite:
-            for name, arr in (("p_dt", p_dt), ("residual_power", residual_power),
-                              ("noise_power", noise_power), ("xi", xi),
-                              ("gamma", gamma), ("zeta", zeta), ("s_hat", s_hat)):
-                if not np.all(np.isfinite(arr)):
-                    raise InputError(f"non-finite {name} at frame {m}")
         if diag is not None:
             diag.p_dt[m] = p_dt
             diag.xi[m] = xi

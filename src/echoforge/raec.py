@@ -71,24 +71,6 @@ class RaecParams:
                 raise ConfigError(f"{name} must be in [0, 1), got {v}")
 
 
-def robust_step_factors(error_spectrum: np.ndarray, scale: float,
-                        params: RaecParams) -> np.ndarray:
-    """Per-bin step factors in [0, mu].
-
-    Bins whose error magnitude exceeds gamma*scale get their step scaled
-    down so the effective update magnitude stays bounded by
-    mu*gamma*scale; small-error bins adapt at the full mu.
-    """
-    if scale <= 0:
-        raise ConfigError(f"scale must be positive, got {scale}")
-    mag = np.abs(np.asarray(error_spectrum, dtype=complex))
-    limit = params.gamma * scale
-    factors = np.full(mag.shape, params.mu)
-    hot = mag > limit
-    factors[hot] = params.mu * limit / mag[hot]
-    return factors
-
-
 def clip_error(e_block: np.ndarray, scale: float, params: RaecParams) -> np.ndarray:
     """Error recovery nonlinearity: clip |e| at gamma*scale, keep the sign.
 
@@ -119,6 +101,10 @@ class Raec:
         self.err_power = np.zeros(self.n_bins)
         self._coh_blocks = 0
         self.step_factor = 1.0
+
+    @property
+    def frame_size(self) -> int:
+        return self.params.frame_size
 
     def _update_scale(self, e_block: np.ndarray) -> None:
         # Median capped at the clip limit: a burst can only grow the scale
@@ -267,8 +253,7 @@ def run_blocks(canceler, x: np.ndarray, y: np.ndarray):
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     length = max(len(x), len(y))
-    n = canceler.frame_size if isinstance(canceler, CascadeRaec) \
-        else canceler.params.frame_size
+    n = canceler.frame_size
     n_blocks = int(np.ceil(length / n)) if length else 0
     xp = np.zeros(n_blocks * n)
     yp = np.zeros(n_blocks * n)

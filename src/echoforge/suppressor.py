@@ -14,6 +14,8 @@ trusted; the two constants act as a binary decision with a tunable
 weight. The high branch exceeds unity for mask_alpha > 0 on purpose
 (recognition front-end, not playback); cap_at_unity clamps it for
 listening use.
+
+The exponential integral E1 inside the LSA gain is scipy.special.exp1.
 """
 
 from __future__ import annotations
@@ -21,12 +23,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import exp1
 
 from .errors import ConfigError, InputError
 
 POWER_FLOOR = 1e-12
 V_FLOOR = 1e-10
-EULER_GAMMA = 0.5772156649015329
 
 
 @dataclass(frozen=True)
@@ -53,46 +55,13 @@ class SuppressorParams:
 def exp_integral_e1(v):
     """E1(v) = integral of exp(-t)/t from v to infinity, for v > 0.
 
-    Power series below 1, modified-Lentz continued fraction above;
-    both evaluated to ~1e-12.
+    Evaluated by scipy.special.exp1; 0-d input gives a scalar, N-d input
+    keeps its shape.
     """
     v = np.asarray(v, dtype=float)
-    scalar = v.ndim == 0
-    v = np.atleast_1d(v)
     if np.any(v <= 0):
         raise InputError("E1 requires positive arguments")
-    out = np.empty_like(v)
-
-    small = v < 1.0
-    x = v[small]
-    if x.size:
-        term = x.copy()
-        total = x.copy()
-        for n in range(2, 80):
-            term *= -x * (n - 1) / (n * n)
-            total += term
-            if np.all(np.abs(term) <= 1e-16 * np.abs(total)):
-                break
-        out[small] = -EULER_GAMMA - np.log(x) + total
-
-    x = v[~small]
-    if x.size:
-        b = x + 1.0
-        c = np.full_like(x, 1e308)
-        d = 1.0 / b
-        h = d.copy()
-        for i in range(1, 300):
-            a = -float(i * i)
-            b = b + 2.0
-            d = 1.0 / (a * d + b)
-            c = b + a / c
-            delta = c * d
-            h *= delta
-            if np.all(np.abs(delta - 1.0) < 1e-15):
-                break
-        out[~small] = h * np.exp(-x)
-
-    return out[0] if scalar else out
+    return exp1(v)
 
 
 def posterior_snr(error_power, noise_power, residual_power) -> np.ndarray:

@@ -10,7 +10,7 @@ from echoforge.params import build_pipeline_params
 from echoforge.pipeline import (measure_erle, process_stream,
                                 write_diagnostics_file)
 from echoforge.stft import StftConfig
-from echoforge.suppressor import SuppressorParams
+from echoforge.suppressor import Suppressor, SuppressorParams
 from conftest import music_like, speech_like
 from scipy.signal import fftconvolve
 
@@ -31,13 +31,6 @@ def _echo_scenario(duration=8.0, seed=0, with_speech=False):
 
 
 class TestNeutralizedPaths:
-    def test_frozen_canceler_and_unity_mask_reconstruct_mic(self):
-        mic = AudioBuffer(speech_like(3.0, seed=5, rms=0.1), FS)
-        ref = AudioBuffer(music_like(3.0, seed=6, rms=0.1), FS)
-        result = process_stream(mic, ref, freeze_raec=True, force_unity_mask=True)
-        assert len(result.enhanced) == len(mic)
-        assert np.max(np.abs(result.enhanced.samples - mic.samples)) <= 1e-6
-
     def test_zero_reference_with_unity_low_branch_is_transparent(self):
         # silent far end leaves the canceler inert bit-for-bit; a huge
         # low-branch region with g_min = 1 pins the mask at one
@@ -83,8 +76,21 @@ class TestContracts:
 
     def test_finiteness_checks_pass_on_normal_input(self):
         mic, ref = _echo_scenario(duration=1.0, seed=14, with_speech=True)
-        result = process_stream(mic, ref, check_finite=True)
+        result = process_stream(mic, ref)
         assert np.all(np.isfinite(result.enhanced.samples))
+
+    def test_nonfinite_output_rejected(self, monkeypatch):
+        original = Suppressor.process_frame
+
+        def emit_nan(self, *args):
+            s_hat, xi, gamma, zeta = original(self, *args)
+            s_hat[3] = np.nan
+            return s_hat, xi, gamma, zeta
+
+        monkeypatch.setattr(Suppressor, "process_frame", emit_nan)
+        mic, ref = _echo_scenario(duration=1.0, seed=14, with_speech=True)
+        with pytest.raises(InputError):
+            process_stream(mic, ref)
 
     def test_bounded_lookahead(self):
         # outputs may depend on at most one frame of future input

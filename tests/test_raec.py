@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from echoforge.errors import ConfigError, InputError
-from echoforge.raec import (CascadeRaec, Raec, RaecParams, clip_error,
-                            robust_step_factors, run_blocks)
+from echoforge.raec import CascadeRaec, Raec, RaecParams, clip_error, run_blocks
 
 FS = 16000
 
@@ -97,31 +96,6 @@ class TestConvergence:
 
 
 class TestRobustControls:
-    def test_step_factors_zero_error_full_step(self):
-        p = RaecParams()
-        factors = robust_step_factors(np.zeros(257, dtype=complex), 1.0, p)
-        assert np.all(factors == p.mu)
-
-    def test_step_factor_bounds_update_magnitude(self):
-        p = RaecParams()
-        spec = np.zeros(257, dtype=complex)
-        spec[10] = 1e9
-        factors = robust_step_factors(spec, 1.0, p)
-        assert factors[10] * np.abs(spec[10]) == pytest.approx(p.mu * p.gamma * 1.0)
-        assert np.all(factors <= p.mu)
-
-    def test_step_factors_scale_invariant(self):
-        p = RaecParams()
-        rng = np.random.default_rng(3)
-        spec = rng.standard_normal(257) + 1j * rng.standard_normal(257)
-        f1 = robust_step_factors(spec, 0.5, p)
-        f2 = robust_step_factors(2 * spec, 1.0, p)
-        assert np.allclose(f1, f2)
-
-    def test_step_factors_zero_scale_rejected(self):
-        with pytest.raises(ConfigError):
-            robust_step_factors(np.zeros(5, dtype=complex), 0.0, RaecParams())
-
     def test_clip_identity_below_threshold(self):
         p = RaecParams()
         e = np.array([0.1, -0.2, 0.3])

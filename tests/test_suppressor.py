@@ -26,6 +26,17 @@ class TestExponentialIntegral:
         v = np.logspace(-9, 2, 200)
         assert np.allclose(exp_integral_e1(v), scipy_exp1(v), rtol=1e-11, atol=1e-14)
 
+    def test_zero_d_input_gives_scalar(self):
+        out = exp_integral_e1(np.float64(0.5))
+        assert np.ndim(out) == 0
+        assert out == pytest.approx(quadrature_e1(0.5), rel=1e-9)
+
+    def test_two_d_input_keeps_shape(self):
+        v = np.logspace(-6, 1.5, 3 * 257).reshape(3, 257)
+        out = exp_integral_e1(v)
+        assert out.shape == (3, 257)
+        assert out[1, 100] == pytest.approx(quadrature_e1(v[1, 100]), rel=1e-9)
+
     def test_rejects_nonpositive(self):
         with pytest.raises(InputError):
             exp_integral_e1(0.0)
