@@ -83,7 +83,15 @@ def clip_error(e_block: np.ndarray, scale: float, params: RaecParams) -> np.ndar
 
 
 class Raec:
-    """One adaptive stage. Strictly sequential per stream; never share."""
+    """One adaptive stage. Strictly sequential per stream; never share.
+
+    Far-end state per partition m (row 0 newest): the reference spectrum
+    x_spectra[m], its conjugate x_conj[m] and its smoothed power
+    x_power[m]. All three shift down one row per block and only row 0 is
+    computed. From the all-zero start, x_power[m] after block t is exactly
+    x_power[m - 1] after block t - 1, so the shift gives the same bits as
+    smoothing every row anew.
+    """
 
     def __init__(self, params: RaecParams):
         self.params = params
@@ -92,6 +100,7 @@ class Raec:
         self.n_bins = n + 1  # rfft bins of the 2n window
         self.x_buf = np.zeros(2 * n)
         self.x_spectra = np.zeros((m, self.n_bins), dtype=complex)
+        self.x_conj = np.zeros((m, self.n_bins), dtype=complex)
         self.weights = np.zeros((m, self.n_bins), dtype=complex)
         self.x_power = np.zeros((m, self.n_bins))   # smoothed per-partition PSD
         self._psd_bias = 0.0                        # smoothing warm-up correction
@@ -101,19 +110,17 @@ class Raec:
         self.err_power = np.zeros(self.n_bins)
         self._coh_blocks = 0
         self.step_factor = 1.0
+        # Reused every block: row 0 holds the raw error and row 1 the
+        # clipped one, each behind n zeros (the first n columns stay zero);
+        # _work holds the coherence cross term and then the gradient.
+        self._err_pad = np.zeros((2, 2 * n))
+        self._work = np.zeros((m, self.n_bins), dtype=complex)
+        # ranks of the two middle order statistics of an n-sample block
+        self._mid_ranks = [(n - 1) // 2, n // 2]
 
     @property
     def frame_size(self) -> int:
         return self.params.frame_size
-
-    def _update_scale(self, e_block: np.ndarray) -> None:
-        # Median capped at the clip limit: a burst can only grow the scale
-        # multiplicatively, and the slow rise keeps both the limiter and the
-        # step control armed through sustained double talk.
-        capped = np.minimum(np.abs(e_block), self.params.gamma * self.scale)
-        raw = np.median(capped) / MEDIAN_TO_SIGMA
-        a = self.params.alpha if raw < self.scale else self.params.scale_rise
-        self.scale = max(a * self.scale + (1.0 - a) * raw, SCALE_FLOOR)
 
     def _coherence_factor(self, err_spec: np.ndarray) -> float:
         """Fraction of the error still explainable by the far end, in [0, 1].
@@ -126,17 +133,24 @@ class Raec:
         referenced to the ceiling a fully coherent error can reach.
         """
         b = COHERENCE_SMOOTHING
-        self.err_cross = b * self.err_cross + (1 - b) * np.conj(self.x_spectra) * err_spec[None, :]
+        # err_cross = b * err_cross + ((1 - b) * conj(X)) * E, in place;
+        # operand order matters: numpy's complex multiply is fused.
+        cross = np.multiply(1 - b, self.x_conj, out=self._work)
+        np.multiply(cross, err_spec, out=cross)
+        np.multiply(b, self.err_cross, out=self.err_cross)
+        self.err_cross += cross
         self.err_power = b * self.err_power + (1 - b) * np.abs(err_spec) ** 2
         self._coh_blocks += 1
         den = self.x_power * self.err_power[None, :] + 1e-20
-        rho = float(np.mean(np.abs(self.err_cross) ** 2 / den, axis=1).max())
+        # best partition's mean over bins: division by the bin count keeps
+        # the order, so the largest sum divided gives the largest mean exactly
+        rho = float((np.abs(self.err_cross) ** 2 / den).sum(axis=1).max()) / self.n_bins
         k_eff = min(self._coh_blocks, (1 + b) / (1 - b))
         floor = COHERENCE_BIAS_MULT / k_eff
         return min(1.0, max(rho - floor, 0.0) / COHERENCE_FULL_SCALE)
 
     def _filter(self) -> np.ndarray:
-        spectrum = np.sum(self.weights * self.x_spectra, axis=0)
+        spectrum = (self.weights * self.x_spectra).sum(axis=0)
         n = self.params.frame_size
         return np.fft.irfft(spectrum, n=2 * n)[n:]
 
@@ -153,13 +167,18 @@ class Raec:
         if x_block.shape != (n,) or y_block.shape != (n,):
             raise InputError(
                 f"blocks must have shape ({n},), got {x_block.shape} and {y_block.shape}")
-        if not (np.all(np.isfinite(x_block)) and np.all(np.isfinite(y_block))):
+        if not (np.isfinite(x_block).all() and np.isfinite(y_block).all()):
             raise InputError("non-finite input block")
 
-        self.x_buf = np.concatenate((self.x_buf[n:], x_block))
-        self.x_spectra[1:] = self.x_spectra[:-1]
-        self.x_spectra[0] = np.fft.rfft(self.x_buf)
-        self.x_power = p.alpha * self.x_power + (1.0 - p.alpha) * np.abs(self.x_spectra) ** 2
+        self.x_buf[:n] = self.x_buf[n:]
+        self.x_buf[n:] = x_block
+        spec = np.fft.rfft(self.x_buf)
+        for history in (self.x_spectra, self.x_conj, self.x_power):
+            history[1:] = history[:-1]
+        self.x_spectra[0] = spec
+        np.conj(spec, out=self.x_conj[0])
+        # row 0 still holds the previous block's newest power
+        self.x_power[0] = p.alpha * self.x_power[0] + (1.0 - p.alpha) * np.abs(spec) ** 2
         self._psd_bias = p.alpha * self._psd_bias + (1.0 - p.alpha)
         # NLMS normalization: far-end power summed over partitions
         # (per-partition normalization alone overshoots by a factor of M).
@@ -168,28 +187,50 @@ class Raec:
         d_hat = self._filter()
         e = y_block - d_hat
 
+        pad = self._err_pad
+        grad = self._work
         e_adapt = e
         for it in range(p.iterations):
+            burst = None
             if it == 0:
-                raw = np.median(np.abs(e_adapt)) / MEDIAN_TO_SIGMA
+                # One partition yields the median of |e| and, since capping
+                # at the clip limit keeps the order, the capped median too.
+                lo, hi = np.partition(np.abs(e), self._mid_ranks)[self._mid_ranks]
+                raw = (lo + hi) / 2 / MEDIAN_TO_SIGMA
                 if raw > SILENCE_LEVEL:
-                    burst = min(1.0, (p.gamma * self.scale / raw) ** 2)
-                    err_spec = np.fft.rfft(np.concatenate((np.zeros(n), e_adapt)))
-                    self.step_factor = burst * self._coherence_factor(err_spec)
-                    self._update_scale(e_adapt)
-                # silent block: gradients vanish anyway, keep previous factor
-            e_clip = clip_error(e_adapt, self.scale, p)
-            err_spec = np.fft.rfft(np.concatenate((np.zeros(n), e_clip)))
-            grad = p.mu * self.step_factor * np.conj(self.x_spectra) \
-                * err_spec[None, :] / norm[None, :]
-            updated = self.weights + grad
+                    limit = p.gamma * self.scale
+                    burst = min(1.0, (limit / raw) ** 2)
+                    # Median capped at the clip limit: a burst can only grow
+                    # the scale multiplicatively, and the slow rise keeps both
+                    # the limiter and the step control armed through
+                    # sustained double talk.
+                    capped = (min(lo, limit) + min(hi, limit)) / 2 / MEDIAN_TO_SIGMA
+                    a = p.alpha if capped < self.scale else p.scale_rise
+                    self.scale = max(a * self.scale + (1.0 - a) * capped, SCALE_FLOOR)
+            else:
+                e_adapt = y_block - self._filter()
+            # clipped with the scale this block's update has already moved
+            pad[1, n:] = clip_error(e_adapt, self.scale, p)
+            if burst is None:
+                # later iteration, or a silent block whose gradients vanish
+                # anyway: keep the previous step factor
+                err_spec = np.fft.rfft(pad[1])
+            else:
+                # one transform for the coherence error and the clipped error
+                pad[0, n:] = e
+                err_specs = np.fft.rfft(pad)
+                self.step_factor = burst * self._coherence_factor(err_specs[0])
+                err_spec = err_specs[1]
+            # grad = ((mu * step) * conj(X)) * E / norm, in place
+            np.multiply(p.mu * self.step_factor, self.x_conj, out=grad)
+            np.multiply(grad, err_spec, out=grad)
+            np.divide(grad, norm, out=grad)
+            np.add(self.weights, grad, out=grad)
             # Gradient constraint: keep each partition's response causal
             # within its block, removing circular-convolution wrap.
-            w_time = np.fft.irfft(updated, n=2 * n, axis=1)
+            w_time = np.fft.irfft(grad, n=2 * n, axis=1)
             w_time[:, n:] = 0.0
             self.weights = np.fft.rfft(w_time, axis=1)
-            if it + 1 < p.iterations:
-                e_adapt = y_block - self._filter()
         return e, d_hat
 
     def equivalent_response(self) -> np.ndarray:

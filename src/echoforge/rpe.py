@@ -38,23 +38,33 @@ class RpeParams:
 
 
 class _CouplingTracker:
-    """Per-partition least-squares coupling of a target onto the reference."""
+    """Per-partition least-squares coupling of a target onto the reference.
+
+    The reference histories (conjugate spectra, |x|^2 and the smoothed
+    auto-PSD, row 0 newest) shift down one row per frame and only row 0
+    is computed. From the all-zero start, auto[m] after frame t is exactly
+    auto[m - 1] after frame t - 1, so the shift gives the same bits as
+    smoothing every row anew.
+    """
 
     def __init__(self, partitions: int, alpha: float, n_bins: int):
         self.alpha = alpha
-        self.x_history = np.zeros((partitions, n_bins), dtype=complex)
+        self.x_conj = np.zeros((partitions, n_bins), dtype=complex)
+        self.x_power = np.zeros((partitions, n_bins))
         self.cross = np.zeros((partitions, n_bins), dtype=complex)
         self.auto = np.zeros((partitions, n_bins))
 
     def update(self, target_frame: np.ndarray, x_frame: np.ndarray) -> np.ndarray:
-        self.x_history[1:] = self.x_history[:-1]
-        self.x_history[0] = x_frame
+        for history in (self.x_conj, self.x_power, self.auto):
+            history[1:] = history[:-1]
+        np.conj(x_frame, out=self.x_conj[0])
+        self.x_power[0] = np.abs(self.x_conj[0]) ** 2
         a = self.alpha
-        self.cross = a * self.cross + (1 - a) * target_frame[None, :] * np.conj(self.x_history)
-        self.auto = a * self.auto + (1 - a) * np.abs(self.x_history) ** 2
+        # row 0 still holds the previous frame's newest auto-PSD
+        self.auto[0] = a * self.auto[0] + (1 - a) * self.x_power[0]
+        self.cross = a * self.cross + (1 - a) * target_frame[None, :] * self.x_conj
         coupling = self.cross / (self.auto + COUPLING_REG)
-        power = np.sum(np.abs(coupling) ** 2 * np.abs(self.x_history) ** 2, axis=0)
-        return power
+        return np.sum(np.abs(coupling) ** 2 * self.x_power, axis=0)
 
 
 class ResidualPowerEstimator:

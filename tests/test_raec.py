@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from echoforge import raec
 from echoforge.errors import ConfigError, InputError
 from echoforge.raec import CascadeRaec, Raec, RaecParams, clip_error, run_blocks
 
@@ -169,3 +172,154 @@ class TestStability:
             assert np.sum(e[sl] ** 2) <= 10.0 * np.sum(y[sl] ** 2) + 1e-9
         assert np.all(np.isfinite(cascade.stage1.weights))
         assert np.all(np.isfinite(cascade.stage2.weights))
+
+
+BLOCK_KINDS = ("echo", "silent", "burst", "far_end_off")
+
+
+def _blocks(n, kinds, seed):
+    """Far-end/mic block pairs of n samples: far-end noise through a short
+    decaying path plus a little mic noise, with all-zero blocks, near-end
+    bursts and far-end-off blocks mixed in as `kinds` says."""
+    rng = np.random.default_rng(seed)
+    path = rng.standard_normal(n) * np.exp(-np.arange(n) / (n / 8))
+    x = rng.standard_normal(len(kinds) * n) * 0.1
+    y = np.convolve(x, path)[: len(x)] + 1e-3 * rng.standard_normal(len(x))
+    for k, kind in enumerate(kinds):
+        xb, yb = x[k * n:(k + 1) * n].copy(), y[k * n:(k + 1) * n].copy()
+        if kind == "silent":
+            xb[:] = 0.0
+            yb[:] = 0.0
+        elif kind == "burst":
+            yb += rng.standard_normal(n)
+        elif kind == "far_end_off":
+            xb[:] = 0.0
+        yield xb, yb
+
+
+class PlainRaec:
+    """Reference formulation of one stage: every far-end row smoothed anew
+    per block, two np.median passes over the error, one transform per
+    error signal, and the clip taken with the scale after this block's
+    update. Raec must match it bit for bit."""
+
+    def __init__(self, p: RaecParams):
+        n, m = p.frame_size, p.partitions
+        self.p = p
+        self.x_buf = np.zeros(2 * n)
+        self.x_spectra = np.zeros((m, n + 1), dtype=complex)
+        self.x_power = np.zeros((m, n + 1))
+        self.weights = np.zeros((m, n + 1), dtype=complex)
+        self.psd_bias = 0.0
+        self.scale = 1.0
+        self.err_cross = np.zeros((m, n + 1), dtype=complex)
+        self.err_power = np.zeros(n + 1)
+        self.coh_blocks = 0
+        self.step_factor = 1.0
+
+    def coherence(self, err_spec):
+        b = raec.COHERENCE_SMOOTHING
+        self.err_cross = b * self.err_cross + (1 - b) * np.conj(self.x_spectra) * err_spec[None, :]
+        self.err_power = b * self.err_power + (1 - b) * np.abs(err_spec) ** 2
+        self.coh_blocks += 1
+        den = self.x_power * self.err_power[None, :] + 1e-20
+        rho = float(np.mean(np.abs(self.err_cross) ** 2 / den, axis=1).max())
+        floor = raec.COHERENCE_BIAS_MULT / min(self.coh_blocks, (1 + b) / (1 - b))
+        return min(1.0, max(rho - floor, 0.0) / raec.COHERENCE_FULL_SCALE)
+
+    def filter(self):
+        n = self.p.frame_size
+        return np.fft.irfft(np.sum(self.weights * self.x_spectra, axis=0), n=2 * n)[n:]
+
+    def process_block(self, x_block, y_block):
+        p, n = self.p, self.p.frame_size
+        zeros = np.zeros(n)
+        self.x_buf = np.concatenate((self.x_buf[n:], x_block))
+        self.x_spectra[1:] = self.x_spectra[:-1]
+        self.x_spectra[0] = np.fft.rfft(self.x_buf)
+        self.x_power = p.alpha * self.x_power + (1.0 - p.alpha) * np.abs(self.x_spectra) ** 2
+        self.psd_bias = p.alpha * self.psd_bias + (1.0 - p.alpha)
+        norm = self.x_power.sum(axis=0) / self.psd_bias + raec.DELTA
+        d_hat = self.filter()
+        e = e_adapt = y_block - d_hat
+        for it in range(p.iterations):
+            if it == 0:
+                raw = np.median(np.abs(e)) / raec.MEDIAN_TO_SIGMA
+                if raw > raec.SILENCE_LEVEL:
+                    burst = min(1.0, (p.gamma * self.scale / raw) ** 2)
+                    err_spec = np.fft.rfft(np.concatenate((zeros, e)))
+                    self.step_factor = burst * self.coherence(err_spec)
+                    capped = np.minimum(np.abs(e), p.gamma * self.scale)
+                    raw = np.median(capped) / raec.MEDIAN_TO_SIGMA
+                    a = p.alpha if raw < self.scale else p.scale_rise
+                    self.scale = max(a * self.scale + (1.0 - a) * raw, raec.SCALE_FLOOR)
+            else:
+                e_adapt = y_block - self.filter()
+            err_spec = np.fft.rfft(np.concatenate((zeros, clip_error(e_adapt, self.scale, p))))
+            grad = p.mu * self.step_factor * np.conj(self.x_spectra) \
+                * err_spec[None, :] / norm[None, :]
+            w_time = np.fft.irfft(self.weights + grad, n=2 * n, axis=1)
+            w_time[:, n:] = 0.0
+            self.weights = np.fft.rfft(w_time, axis=1)
+        return e, d_hat
+
+
+raec_shapes = st.builds(RaecParams,
+                        frame_size=st.sampled_from([64, 128, 256, 512, 1024]),
+                        partitions=st.integers(1, 16),
+                        iterations=st.integers(1, 4))
+block_kinds = st.lists(st.sampled_from(BLOCK_KINDS), min_size=1, max_size=24)
+
+
+class TestExactUpdates:
+    @given(p=raec_shapes, kinds=block_kinds, seed=st.integers(0, 2**16))
+    @settings(max_examples=25, deadline=None)
+    def test_shifted_histories_equal_direct_update(self, p, kinds, seed):
+        n = p.frame_size
+        aec = Raec(p)
+        windows = np.zeros(2 * n)
+        spectra = np.zeros_like(aec.x_spectra)
+        power = np.zeros_like(aec.x_power)
+        for xb, yb in _blocks(n, kinds, seed):
+            aec.process_block(xb, yb)
+            windows = np.concatenate((windows[n:], xb))
+            spectra[1:] = spectra[:-1]
+            spectra[0] = np.fft.rfft(windows)
+            power = p.alpha * power + (1 - p.alpha) * np.abs(spectra) ** 2
+            assert np.array_equal(aec.x_spectra, spectra)
+            assert np.array_equal(aec.x_conj, np.conj(spectra))
+            assert np.array_equal(aec.x_power, power)
+
+    @given(p=raec_shapes, kinds=block_kinds, seed=st.integers(0, 2**16))
+    @settings(max_examples=25, deadline=None)
+    def test_scale_and_outputs_match_median_formulation(self, p, kinds, seed):
+        # Lockstep with the reference: equal scale after every block means
+        # the single partition gives both np.median values, and equal
+        # weights mean the clip used the scale after the update. The step
+        # control holds adaptation off for the first ~16 echo blocks, so
+        # an echo warm-up comes first; clipping with the scale from before
+        # the update then breaks the weights within it.
+        aec = Raec(p)
+        ref = PlainRaec(p)
+        for xb, yb in _blocks(p.frame_size, ["echo"] * 24 + kinds, seed):
+            e, d_hat = aec.process_block(xb, yb)
+            e_ref, d_hat_ref = ref.process_block(xb, yb)
+            assert np.array_equal(e, e_ref)
+            assert np.array_equal(d_hat, d_hat_ref)
+            assert aec.scale == ref.scale
+            assert aec.step_factor == ref.step_factor
+            assert np.array_equal(aec.weights, ref.weights)
+            assert np.array_equal(aec.err_cross, ref.err_cross)
+
+    def test_capped_median_straddling_the_clip_limit(self):
+        # The two middle |e| values lie on either side of the clip limit
+        # (gamma * scale = 1.5 at the start), the one case where the capped
+        # median is not the median capped.
+        p = RaecParams()
+        n = p.frame_size
+        y = np.repeat([1.0, 2.0], n // 2)
+        aec = Raec(p)
+        ref = PlainRaec(p)
+        aec.process_block(np.zeros(n), y)
+        ref.process_block(np.zeros(n), y)
+        assert aec.scale == ref.scale

@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from echoforge.errors import ConfigError, InputError
-from echoforge.rpe import (ResidualPowerEstimator, RpeParams,
-                           combine_residual_power)
+from echoforge.rpe import (COUPLING_REG, ResidualPowerEstimator, RpeParams,
+                           _CouplingTracker, combine_residual_power)
 
 N_BINS = 129
 
@@ -79,6 +79,38 @@ class TestCouplingTrackers:
             RpeParams(partitions_high=0)
         with pytest.raises(ConfigError):
             RpeParams(alpha_low=1.0)
+
+
+class TestExactUpdates:
+    @given(partitions=st.integers(1, 8), alpha=st.floats(0.0, 0.999),
+           n_bins=st.sampled_from([1, 17, 129, 257]),
+           x_off=st.lists(st.booleans(), min_size=1, max_size=20),
+           seed=st.integers(0, 2**16))
+    @settings(max_examples=40, deadline=None)
+    def test_shifted_auto_and_power_equal_direct_update(self, partitions, alpha,
+                                                         n_bins, x_off, seed):
+        # The direct form smooths every row of |x|^2 anew and computes
+        # |x|^2 once per use; the tracker must give the same bits.
+        rng = np.random.default_rng(seed)
+        tracker = _CouplingTracker(partitions, alpha, n_bins)
+        history = np.zeros((partitions, n_bins), dtype=complex)
+        cross = np.zeros((partitions, n_bins), dtype=complex)
+        auto = np.zeros((partitions, n_bins))
+        a = alpha
+        for off in x_off:
+            x = np.zeros(n_bins, complex) if off else \
+                rng.standard_normal(n_bins) + 1j * rng.standard_normal(n_bins)
+            target = rng.standard_normal(n_bins) + 1j * rng.standard_normal(n_bins)
+            history[1:] = history[:-1]
+            history[0] = x
+            cross = a * cross + (1 - a) * target[None, :] * np.conj(history)
+            auto = a * auto + (1 - a) * np.abs(history) ** 2
+            coupling = cross / (auto + COUPLING_REG)
+            expected = np.sum(np.abs(coupling) ** 2 * np.abs(history) ** 2, axis=0)
+            power = tracker.update(target, x)
+            assert np.array_equal(tracker.auto, auto)
+            assert np.array_equal(tracker.x_conj, np.conj(history))
+            assert np.array_equal(power, expected)
 
 
 class TestCombine:

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import exp1 as scipy_exp1
 
 from echoforge.errors import ConfigError, InputError
 from echoforge.suppressor import (Suppressor, SuppressorParams, apply_mask,
@@ -21,10 +20,6 @@ class TestExponentialIntegral:
     def test_matches_quadrature(self, v):
         assert exp_integral_e1(v) == pytest.approx(quadrature_e1(v),
                                                    rel=1e-9, abs=1e-12)
-
-    def test_matches_scipy_on_a_grid(self):
-        v = np.logspace(-9, 2, 200)
-        assert np.allclose(exp_integral_e1(v), scipy_exp1(v), rtol=1e-11, atol=1e-14)
 
     def test_zero_d_input_gives_scalar(self):
         out = exp_integral_e1(np.float64(0.5))
