@@ -56,6 +56,10 @@ class CorpusSpec:
             raise ConfigError("corpus needs at least one speech file")
         if not self.music_files:
             raise ConfigError("corpus needs at least one music file")
+        for key in self.noise_files:
+            if key not in NOISE_TYPES:
+                raise ConfigError(
+                    f"unknown noise type {key!r}; expected one of {NOISE_TYPES}")
         if not any(self.noise_files.get(t) for t in self.noise_files):
             raise ConfigError("corpus needs at least one background noise file")
         for rng_name, rng in (("ser", self.ser_range_db), ("snr", self.snr_range_db)):
@@ -155,47 +159,36 @@ def make_default_irs(count: int = 12, length: int = 1024,
     return irs
 
 
-def _load_excerpt(path, offset: int, length: int, sample_rate: int) -> AudioBuffer:
+def _read_source(path, sample_rate: int) -> AudioBuffer:
     if not os.path.exists(path):
         raise FileNotFoundError(f"missing source file: {path}")
     buf = read_wav(path)
     if buf.sample_rate != sample_rate:
         raise InputError(f"{path}: expected {sample_rate} Hz, got {buf.sample_rate}")
+    return buf
+
+
+def _excerpt(buf: AudioBuffer, path, offset: int, length: int) -> AudioBuffer:
     if offset + length > len(buf):
         raise ConfigError(
             f"{path}: excerpt [{offset}, {offset + length}) exceeds file "
             f"length {len(buf)}")
-    return AudioBuffer(buf.samples[offset : offset + length], sample_rate)
+    return AudioBuffer(buf.samples[offset : offset + length], buf.sample_rate)
 
 
 def _resolve(base_dir, path):
     return path if os.path.isabs(path) else os.path.join(base_dir, path)
 
 
-def mix_item(recipe: MixtureRecipe, irs: list, base_dir: str = ".") -> MixResult:
-    """Rebuild one corpus item deterministically from its recipe."""
-    sr = irs[0].sample_rate
-    speech_path = _resolve(base_dir, recipe.speech_path)
-    if not os.path.exists(speech_path):
-        raise FileNotFoundError(f"missing source file: {speech_path}")
-    speech_dry = read_wav(speech_path)
-    if speech_dry.sample_rate != sr:
-        raise InputError(f"{speech_path}: expected {sr} Hz")
-    length = len(speech_dry)
+def _reverberate(dry: AudioBuffer, ir: AudioBuffer) -> AudioBuffer:
+    return AudioBuffer(fftconvolve(dry.samples, ir.samples)[:len(dry)], dry.sample_rate)
 
-    music = _load_excerpt(_resolve(base_dir, recipe.music_path),
-                          recipe.music_offset, length, sr)
-    noise = _load_excerpt(_resolve(base_dir, recipe.noise_path),
-                          recipe.noise_offset, length, sr)
 
-    ir_speech = irs[recipe.ir_index_speech]
-    ir_music = irs[recipe.ir_index_music]
-    speech_reverb = AudioBuffer(
-        fftconvolve(speech_dry.samples, ir_speech.samples)[:length], sr)
-    echo = AudioBuffer(fftconvolve(music.samples, ir_music.samples)[:length], sr)
-
-    pink = pink_noise(length, np.random.default_rng(recipe.seed))
-
+def _sum(recipe: MixtureRecipe, speech_dry: AudioBuffer, speech_reverb: AudioBuffer,
+         music: AudioBuffer, echo: AudioBuffer, noise: AudioBuffer) -> MixResult:
+    # The one place the mix is summed; its operand order fixes the bits on disk.
+    sr = speech_dry.sample_rate
+    pink = pink_noise(len(speech_dry), np.random.default_rng(recipe.seed))
     mix = (speech_reverb.samples
            + recipe.sigma1 * echo.samples
            + recipe.sigma2 * noise.samples
@@ -211,6 +204,19 @@ def mix_item(recipe: MixtureRecipe, irs: list, base_dir: str = ".") -> MixResult
     )
 
 
+def mix_item(recipe: MixtureRecipe, irs: list, base_dir: str = ".") -> MixResult:
+    """Rebuild one corpus item deterministically from its recipe."""
+    sr = irs[0].sample_rate
+    speech_dry = _read_source(_resolve(base_dir, recipe.speech_path), sr)
+    length = len(speech_dry)
+    music_path = _resolve(base_dir, recipe.music_path)
+    music = _excerpt(_read_source(music_path, sr), music_path, recipe.music_offset, length)
+    noise_path = _resolve(base_dir, recipe.noise_path)
+    noise = _excerpt(_read_source(noise_path, sr), noise_path, recipe.noise_offset, length)
+    return _sum(recipe, speech_dry, _reverberate(speech_dry, irs[recipe.ir_index_speech]),
+                music, _reverberate(music, irs[recipe.ir_index_music]), noise)
+
+
 def measured_ser_db(result: MixResult, recipe: MixtureRecipe) -> float:
     """Re-measure the realized speech-to-echo ratio of a mixed item."""
     return 10.0 * np.log10(
@@ -224,7 +230,12 @@ def measured_snr_db(result: MixResult, recipe: MixtureRecipe) -> float:
         / (recipe.sigma2**2 * result.background.energy()))
 
 
-def _draw_recipe(spec: CorpusSpec, index: int, irs: list, base_dir: str) -> MixtureRecipe:
+def _draw_recipe(spec: CorpusSpec, index: int, irs: list, base_dir: str):
+    """Draw item `index` and mix it; returns (recipe, MixResult).
+
+    Each source file is read once: the offsets need the file lengths and
+    the gains need the reverberant components, which then go into the mix.
+    """
     ss = np.random.SeedSequence(spec.master_seed, spawn_key=(index,))
     rng = np.random.default_rng(ss)
     item_seed = int(ss.generate_state(1, dtype=np.uint64)[0])
@@ -240,10 +251,11 @@ def _draw_recipe(spec: CorpusSpec, index: int, irs: list, base_dir: str) -> Mixt
     ir_index_speech = int(rng.integers(len(irs)))
     ir_index_music = int(rng.integers(len(irs)))
 
-    speech = read_wav(_resolve(base_dir, speech_path))
-    length = len(speech)
-    music_len = len(read_wav(_resolve(base_dir, music_path)))
-    noise_len = len(read_wav(_resolve(base_dir, noise_path)))
+    sr = spec.sample_rate
+    speech_dry = _read_source(_resolve(base_dir, speech_path), sr)
+    music_src = _read_source(_resolve(base_dir, music_path), sr)
+    noise_src = _read_source(_resolve(base_dir, noise_path), sr)
+    length, music_len, noise_len = len(speech_dry), len(music_src), len(noise_src)
     if music_len < length:
         raise ConfigError(f"{music_path}: shorter than speech item ({music_len} < {length})")
     if noise_len < length:
@@ -251,19 +263,21 @@ def _draw_recipe(spec: CorpusSpec, index: int, irs: list, base_dir: str) -> Mixt
     music_offset = int(rng.integers(music_len - length + 1))
     noise_offset = int(rng.integers(noise_len - length + 1))
 
-    # gains require the actual reverberant components
-    draft = MixtureRecipe(
+    music = _excerpt(music_src, music_path, music_offset, length)
+    noise = _excerpt(noise_src, noise_path, noise_offset, length)
+    speech_reverb = _reverberate(speech_dry, irs[ir_index_speech])
+    echo = _reverberate(music, irs[ir_index_music])
+    recipe = MixtureRecipe(
         item_id=f"item{index:04d}", speech_path=speech_path,
         music_path=music_path, music_offset=music_offset,
         noise_type=noise_type, noise_path=noise_path, noise_offset=noise_offset,
         ir_index_speech=ir_index_speech, ir_index_music=ir_index_music,
-        ser_db=ser_db, snr_db=snr_db, sigma1=0.0, sigma2=0.0,
+        ser_db=ser_db, snr_db=snr_db,
+        sigma1=gain_for_ser(speech_reverb, echo, ser_db),
+        sigma2=gain_for_snr(speech_reverb, noise, snr_db),
         sigma3=spec.sigma3, seed=item_seed,
     )
-    partial = mix_item(draft, irs, base_dir)
-    sigma1 = gain_for_ser(partial.speech_reverb, partial.echo, ser_db)
-    sigma2 = gain_for_snr(partial.speech_reverb, partial.background, snr_db)
-    return MixtureRecipe(**{**draft.to_dict(), "sigma1": sigma1, "sigma2": sigma2})
+    return recipe, _sum(recipe, speech_dry, speech_reverb, music, echo, noise)
 
 
 def generate_corpus(spec: CorpusSpec, n_items: int, out_dir,
@@ -272,16 +286,22 @@ def generate_corpus(spec: CorpusSpec, n_items: int, out_dir,
 
     Writes <id>.mix.wav, <id>.speech.wav (reverberant target),
     <id>.speech_dry.wav, <id>.ref.wav (far-end reference) and a
-    manifest.json listing every recipe, all float32 mono WAV.
+    manifest.json listing every recipe, all float32 mono WAV. Every
+    impulse response must be at spec.sample_rate.
     """
     os.makedirs(out_dir, exist_ok=True)
-    irs = (load_irs(spec.ir_files, base_dir) if spec.ir_files
-           else make_default_irs(sample_rate=spec.sample_rate))
+    if spec.ir_files:
+        irs = load_irs(spec.ir_files, base_dir)
+        for path, ir in zip(spec.ir_files, irs):
+            if ir.sample_rate != spec.sample_rate:
+                raise InputError(f"{_resolve(base_dir, path)}: impulse response at "
+                                 f"{ir.sample_rate} Hz, corpus at {spec.sample_rate} Hz")
+    else:
+        irs = make_default_irs(sample_rate=spec.sample_rate)
     recipes = []
     entries = []
     for i in range(n_items):
-        recipe = _draw_recipe(spec, i, irs, base_dir)
-        result = mix_item(recipe, irs, base_dir)
+        recipe, result = _draw_recipe(spec, i, irs, base_dir)
         paths = {
             "mix": f"{recipe.item_id}.mix.wav",
             "speech": f"{recipe.item_id}.speech.wav",

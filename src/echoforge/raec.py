@@ -13,8 +13,8 @@ signal path:
   (near-end speech, or the filter has hit its floor), so sustained
   double talk cannot random-walk converged weights.
 
-Two instances chain into a cascade: the second stage filters the same
-far-end reference and cancels what the first left behind.
+Two instances chain into a cascade (`cascade_run`): the second stage
+filters the same far-end reference and cancels what the first left behind.
 """
 
 from __future__ import annotations
@@ -117,10 +117,6 @@ class Raec:
         self._work = np.zeros((m, self.n_bins), dtype=complex)
         # ranks of the two middle order statistics of an n-sample block
         self._mid_ranks = [(n - 1) // 2, n // 2]
-
-    @property
-    def frame_size(self) -> int:
-        return self.params.frame_size
 
     def _coherence_factor(self, err_spec: np.ndarray) -> float:
         """Fraction of the error still explainable by the far end, in [0, 1].
@@ -240,35 +236,6 @@ class Raec:
         return w_time.reshape(-1)
 
 
-class CascadeRaec:
-    """Two chained stages: the second cleans the first stage's error."""
-
-    def __init__(self, params1: RaecParams, params2: RaecParams):
-        if params1.frame_size != params2.frame_size:
-            raise ConfigError("cascade stages must share one frame size")
-        self.stage1 = Raec(params1)
-        self.stage2 = Raec(params2)
-
-    @property
-    def frame_size(self) -> int:
-        return self.stage1.params.frame_size
-
-    def process_block(self, x_block: np.ndarray, y_block: np.ndarray):
-        e1, _ = self.stage1.process_block(x_block, y_block)
-        e2, _ = self.stage2.process_block(x_block, e1)
-        return e2, y_block - e2
-
-    def equivalent_response(self) -> np.ndarray:
-        # Both stages filter the same reference, so their responses add.
-        r1 = self.stage1.equivalent_response()
-        r2 = self.stage2.equivalent_response()
-        size = max(len(r1), len(r2))
-        out = np.zeros(size)
-        out[: len(r1)] += r1
-        out[: len(r2)] += r2
-        return out
-
-
 def cascade_run(x: np.ndarray, y: np.ndarray, params1: RaecParams,
                 params2: RaecParams):
     """Full-signal two-stage cancellation.
@@ -294,7 +261,7 @@ def run_blocks(canceler, x: np.ndarray, y: np.ndarray):
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     length = max(len(x), len(y))
-    n = canceler.frame_size
+    n = canceler.params.frame_size
     n_blocks = int(np.ceil(length / n)) if length else 0
     xp = np.zeros(n_blocks * n)
     yp = np.zeros(n_blocks * n)

@@ -104,6 +104,18 @@ class TestCorpusCommand:
         assert len(manifest["items"]) == 3
         assert all(item["ser_db"] == -12.0 for item in manifest["items"])
 
+    def test_ir_at_another_rate_exit_2(self, tmp_path, capsys):
+        paths = _write_sources(tmp_path)
+        write_wav(tmp_path / "ir48k.wav", AudioBuffer([1.0, 0.5, 0.25], 48000))
+        cfg = tmp_path / "corpus.cfg"
+        cfg.write_text(
+            f"corpus.speech = {paths['sp']}\n"
+            f"corpus.music = {paths['mu']}\n"
+            f"corpus.noise.babble = {paths['no']}\n"
+            "corpus.irs = ir48k.wav\n")
+        assert main(["corpus", str(cfg), "1", "--out", str(tmp_path / "x")]) == 2
+        assert "ir48k.wav" in capsys.readouterr().err
+
     def test_missing_spec_exit_2(self, tmp_path):
         assert main(["corpus", str(tmp_path / "nope.cfg"), "1",
                      "--out", str(tmp_path / "x")]) == 2

@@ -1,11 +1,13 @@
 import json
 import os
+import re
 
 import numpy as np
 import pytest
 from scipy.signal import welch
 
-from echoforge.audio import AudioBuffer, write_wav
+from echoforge import corpus
+from echoforge.audio import AudioBuffer, read_wav, write_wav
 from echoforge.corpus import (CorpusSpec, MixtureRecipe, gain_for_ser,
                               gain_for_snr, generate_corpus, make_default_irs,
                               measured_ser_db, measured_snr_db, mix_item,
@@ -110,6 +112,21 @@ class TestMixing:
         with pytest.raises(FileNotFoundError, match="/nonexistent/sp.wav"):
             mix_item(recipe, irs)
 
+    @pytest.mark.parametrize("field", ["music_offset", "noise_offset"])
+    def test_excerpt_past_end_names_path(self, corpus_sources, field):
+        irs = make_default_irs()
+        recipe = MixtureRecipe(
+            item_id="x", speech_path=corpus_sources["speech"][0],
+            music_path=corpus_sources["music"][0], music_offset=0,
+            noise_type="babble", noise_path=corpus_sources["noise"][0],
+            noise_offset=0, ir_index_speech=0, ir_index_music=0,
+            ser_db=0.0, snr_db=0.0, sigma1=1.0, sigma2=1.0, sigma3=0.0, seed=7)
+        # the 2 s speech item cannot start 11 s into a 12 s source
+        recipe = MixtureRecipe(**{**recipe.to_dict(), field: 11 * FS})
+        path = recipe.music_path if field == "music_offset" else recipe.noise_path
+        with pytest.raises(ConfigError, match=re.escape(path)):
+            mix_item(recipe, irs)
+
     def test_rerun_is_bit_identical(self, corpus_sources):
         irs = make_default_irs()
         recipe = MixtureRecipe(
@@ -142,6 +159,33 @@ class TestGeneration:
             with open(tmp_path / "a" / name, "rb") as fa, \
                  open(tmp_path / "b" / name, "rb") as fb:
                 assert fa.read() == fb.read(), name
+
+    def test_written_mix_equals_mix_item(self, corpus_sources, tmp_path):
+        spec = make_corpus_spec(corpus_sources)
+        recipes = generate_corpus(spec, 3, tmp_path / "c")
+        irs = make_default_irs()
+        for recipe in recipes:
+            on_disk = read_wav(tmp_path / "c" / f"{recipe.item_id}.mix.wav").samples
+            rebuilt = mix_item(recipe, irs).mix.samples.astype(np.float32)
+            assert np.array_equal(on_disk, rebuilt), recipe.item_id
+
+    def test_each_item_read_and_convolved_once(self, corpus_sources, tmp_path,
+                                               monkeypatch):
+        calls = {"read": 0, "convolve": 0}
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(corpus, "read_wav", counted("read", corpus.read_wav))
+        monkeypatch.setattr(corpus, "fftconvolve",
+                            counted("convolve", corpus.fftconvolve))
+        n_items = 4
+        generate_corpus(make_corpus_spec(corpus_sources), n_items, tmp_path / "c")
+        # speech, music and noise once each; speech and music convolved once each
+        assert calls == {"read": 3 * n_items, "convolve": 2 * n_items}
 
     def test_zero_items_empty_manifest(self, corpus_sources, tmp_path):
         spec = make_corpus_spec(corpus_sources)
@@ -176,6 +220,32 @@ class TestGeneration:
         with pytest.raises(ConfigError, match="shorter than speech"):
             generate_corpus(spec, 1, tmp_path / "bad")
 
+    def test_ir_at_another_rate_rejected(self, tmp_path):
+        fs = 8000
+        sources = {}
+        for seed, (kind, dur) in enumerate((("speech", 1.0), ("music", 4.0),
+                                            ("noise", 4.0))):
+            p = tmp_path / f"{kind}.wav"
+            write_wav(p, AudioBuffer(speech_like(dur, fs=fs, seed=seed), fs))
+            sources[kind] = [str(p)]
+        ir = np.zeros(64)
+        ir[0] = 1.0
+        write_wav(tmp_path / "ir8k.wav", AudioBuffer(ir, fs))
+        write_wav(tmp_path / "ir48k.wav", AudioBuffer(ir, 48000))
+        spec = make_corpus_spec(sources, ir_files=("ir8k.wav", "ir48k.wav"),
+                                sample_rate=fs)
+        with pytest.raises(InputError, match="ir48k.wav"):
+            generate_corpus(spec, 4, tmp_path / "out", base_dir=str(tmp_path))
+        # with every response at the corpus rate the same spec is accepted
+        spec = make_corpus_spec(sources, ir_files=("ir8k.wav",), sample_rate=fs)
+        generate_corpus(spec, 2, tmp_path / "ok", base_dir=str(tmp_path))
+        assert read_manifest(tmp_path / "ok" / "manifest.json")["sample_rate"] == fs
+
+    def test_unknown_noise_type_rejected(self, corpus_sources):
+        with pytest.raises(ConfigError, match="traffic"):
+            make_corpus_spec(corpus_sources,
+                             noise_files={"traffic": tuple(corpus_sources["noise"])})
+
     def test_spec_validation(self, corpus_sources):
         with pytest.raises(ConfigError):
             make_corpus_spec(corpus_sources, speech_files=())
@@ -203,7 +273,7 @@ class TestGeneration:
         spec = make_corpus_spec(paths, ser_range_db=(-15.0, -10.0))
         irs = make_default_irs(length=256)
         sers = np.array([
-            _draw_recipe(spec, i, irs, ".").ser_db for i in range(1000)])
+            _draw_recipe(spec, i, irs, ".")[0].ser_db for i in range(1000)])
         uniform = (sers - (-15.0)) / 5.0
         sorted_u = np.sort(uniform)
         n = len(sorted_u)
