@@ -91,6 +91,11 @@ def _corpus_spec_from_config(path, seed_override=None):
     def paths(key):
         return tuple(cfgmod.as_paths(raw.get(key, "")))
 
+    for key in raw:
+        if (key.startswith("corpus.noise.")
+                and key[len("corpus.noise."):] not in corpusmod.NOISE_TYPES):
+            raise ConfigError(f"unknown noise type in {key!r}; known types: "
+                              f"{', '.join(corpusmod.NOISE_TYPES)}")
     noise = {t: paths(f"corpus.noise.{t}") for t in corpusmod.NOISE_TYPES}
     spec = corpusmod.CorpusSpec(
         speech_files=paths("corpus.speech"),
@@ -219,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--timeout", type=float, default=600.0,
                    help="external scorer timeout, seconds")
     p.add_argument("--seed", type=int, help="override the GA seed")
-    p.add_argument("--jobs", type=int, help="parallel candidate evaluations")
+    p.add_argument("--jobs", type=int, help="candidates in flight at once")
     p.add_argument("--seed-incumbent", action="store_true",
                    help="put the default parameters into the initial population")
     p.set_defaults(func=cmd_tune)

@@ -7,9 +7,17 @@ per-gene mutation, and elitism (the N best survive unchanged, carrying
 their scores). The best member of the final population wins.
 
 A candidate whose evaluation raises or times out scores -inf, is logged,
-and the run continues. Candidate evaluations are independent and may run
-on several threads; scores are gathered by candidate index, so the
-result is identical however they are scheduled.
+and the run continues; a worker process that dies fails the run. Up to
+`GaConfig.jobs` candidates are in flight at once, each on its own thread;
+scores are gathered by candidate index, so the result is identical
+however they are scheduled.
+
+The corpus objectives enhance their items on a process pool that they
+start when they are built: up to one forked worker per available core,
+never more than there are items. Each worker holds the items from the
+fork on, so per item only its index and the candidate's parameters cross
+the pipe. Per-item results are gathered by index and averaged in item
+order, so a score does not depend on the worker count or on scheduling.
 """
 
 from __future__ import annotations
@@ -17,11 +25,14 @@ from __future__ import annotations
 import json
 import logging
 import math
+import multiprocessing
 import os
 import shlex
 import subprocess
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
+import weakref
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
 import numpy as np
@@ -155,12 +166,18 @@ class GaResult:
 
 
 def _evaluate(objective, population, scores, jobs: int):
-    """Fill in missing scores; failures score -inf and the run continues."""
+    """Fill in missing scores; failures score -inf and the run continues.
+
+    A dead worker process is not a candidate failure: BrokenProcessPool
+    propagates, because every later candidate would fail the same way.
+    """
     todo = [i for i, s in enumerate(scores) if s is None]
 
     def run_one(i):
         try:
             return float(objective(population[i]))
+        except BrokenProcessPool:
+            raise
         except Exception as exc:  # candidate failure must not kill the run
             log.warning("candidate %d failed: %s", i, exc)
             return float("-inf")
@@ -254,18 +271,59 @@ def load_corpus_items(manifest: dict, base_dir: str) -> list:
     return items
 
 
+# The corpus items of this worker process, set once by the pool initializer.
+_worker_items = None
+
+
+def _hold_items(items) -> None:
+    global _worker_items
+    _worker_items = items
+
+
+def _score_item(i: int, pipeline_params, stft_cfg):
+    """Worker: segmental-SNR improvement of item i, enhanced."""
+    mix, speech, ref = _worker_items[i]
+    result = process_stream(mix, ref, pipeline_params, stft_cfg)
+    return segmental_snr_improvement(speech.samples, result.enhanced.samples, mix.samples)
+
+
+def _enhance_item_to(i: int, pipeline_params, stft_cfg, workdir: str):
+    """Worker: write item i, enhanced, to workdir; return its VAD segments."""
+    mix, _, ref = _worker_items[i]
+    result = process_stream(mix, ref, pipeline_params, stft_cfg)
+    write_wav(os.path.join(workdir, f"enhanced{i:04d}.wav"), result.enhanced)
+    return [list(s) for s in result.segments]
+
+
+def _item_pool(items) -> ProcessPoolExecutor:
+    """Fork the item workers now, on the calling thread."""
+    if not items:
+        raise ConfigError("no corpus items")
+    pool = ProcessPoolExecutor(
+        max_workers=min(len(os.sched_getaffinity(0)), len(items)),
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=_hold_items, initargs=(items,))
+    # The first submit forks every worker of a fork-context pool.
+    pool.submit(os.getpid).result()
+    return pool
+
+
+def _map_items(pool: ProcessPoolExecutor, fn, n: int, *args) -> list:
+    """fn(i, *args) for every item i on the pool, results in item order."""
+    futures = [pool.submit(fn, i, *args) for i in range(n)]
+    return [f.result() for f in futures]
+
+
 def signal_fidelity_objective(items, stft_cfg: StftConfig | None = None):
     """Mean segmental-SNR improvement of enhanced over mixture, in dB."""
+    pool = _item_pool(items)
 
     def objective(params: dict) -> float:
         pipeline_params = build_pipeline_params(params)
-        gains = []
-        for mix, speech, ref in items:
-            result = process_stream(mix, ref, pipeline_params, stft_cfg)
-            gains.append(segmental_snr_improvement(
-                speech.samples, result.enhanced.samples, mix.samples))
-        return float(np.mean(gains))
+        return float(np.mean(_map_items(pool, _score_item, len(items),
+                                        pipeline_params, stft_cfg)))
 
+    weakref.finalize(objective, pool.shutdown)  # the workers exit with the objective
     return objective
 
 
@@ -280,17 +338,15 @@ def external_objective(command_template: str, exchange_dir, timeout: float,
     if timeout <= 0:
         raise ConfigError(f"timeout must be positive, got {timeout}")
     os.makedirs(exchange_dir, exist_ok=True)
+    pool = _item_pool(items)
 
     def objective(params: dict) -> float:
         pipeline_params = build_pipeline_params(params)
         workdir = tempfile.mkdtemp(prefix="candidate_", dir=exchange_dir)
-        entries = []
-        for i, (mix, speech, ref) in enumerate(items):
-            result = process_stream(mix, ref, pipeline_params, stft_cfg)
-            enhanced_path = os.path.join(workdir, f"enhanced{i:04d}.wav")
-            write_wav(enhanced_path, result.enhanced)
-            entries.append({"enhanced": enhanced_path,
-                            "segments": [list(s) for s in result.segments]})
+        segments = _map_items(pool, _enhance_item_to, len(items),
+                              pipeline_params, stft_cfg, workdir)
+        entries = [{"enhanced": os.path.join(workdir, f"enhanced{i:04d}.wav"),
+                    "segments": segs} for i, segs in enumerate(segments)]
         with open(os.path.join(workdir, "candidate.json"), "w", encoding="utf-8") as fh:
             json.dump({"params": params, "items": entries}, fh, indent=2)
         cmd = [part.format(dir=workdir) for part in shlex.split(command_template)]
@@ -300,4 +356,5 @@ def external_objective(command_template: str, exchange_dir, timeout: float,
                 f"external objective exited {proc.returncode}: {proc.stderr.strip()}")
         return float(proc.stdout.strip())
 
+    weakref.finalize(objective, pool.shutdown)  # the workers exit with the objective
     return objective

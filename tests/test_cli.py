@@ -79,10 +79,11 @@ class TestMetrics:
 
 def _write_sources(tmp_path):
     paths = {}
-    for name, maker, dur in (("sp", speech_like, 1.0), ("mu", music_like, 4.0),
-                             ("no", speech_like, 4.0)):
+    for name, maker, dur, seed in (("sp", speech_like, 1.0, 501),
+                                   ("mu", music_like, 4.0, 502),
+                                   ("no", speech_like, 4.0, 503)):
         p = tmp_path / f"{name}.wav"
-        write_wav(p, AudioBuffer(maker(dur, seed=hash(name) % 1000, rms=0.08)))
+        write_wav(p, AudioBuffer(maker(dur, seed=seed, rms=0.08)))
         paths[name] = p.name  # relative to the config dir
     return paths
 
@@ -115,6 +116,19 @@ class TestCorpusCommand:
             "corpus.irs = ir48k.wav\n")
         assert main(["corpus", str(cfg), "1", "--out", str(tmp_path / "x")]) == 2
         assert "ir48k.wav" in capsys.readouterr().err
+
+    def test_unknown_noise_type_exit_3(self, tmp_path, capsys):
+        paths = _write_sources(tmp_path)
+        cfg = tmp_path / "corpus.cfg"
+        cfg.write_text(
+            f"corpus.speech = {paths['sp']}\n"
+            f"corpus.music = {paths['mu']}\n"
+            f"corpus.noise.babble = {paths['no']}\n"
+            f"corpus.noise.traffic = {paths['no']}\n")
+        out = tmp_path / "x"
+        assert main(["corpus", str(cfg), "1", "--out", str(out)]) == 3
+        assert "corpus.noise.traffic" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_spec_exit_2(self, tmp_path):
         assert main(["corpus", str(tmp_path / "nope.cfg"), "1",

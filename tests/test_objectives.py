@@ -1,12 +1,17 @@
+import gc
+import multiprocessing
 import os
 import sys
+import time
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
 
 from echoforge.corpus import generate_corpus, read_manifest
 from echoforge.metrics import segmental_snr_improvement
-from echoforge.params import default_params
+from echoforge.params import build_pipeline_params, default_params
+from echoforge.pipeline import process_stream
 from echoforge.tuner import (GaConfig, default_bounds, external_objective,
                              ga_run, load_corpus_items,
                              signal_fidelity_objective)
@@ -76,6 +81,74 @@ class TestSignalFidelityObjective:
         result = ga_run(GaConfig(population=4, elite=1, generations=1, seed=2),
                         default_bounds(), sometimes_invalid)
         assert result.best_score > -np.inf
+
+
+def _load_items(corpus_dir):
+    return load_corpus_items(read_manifest(corpus_dir / "manifest.json"), str(corpus_dir))
+
+
+def _workers_started_by(build):
+    """(what build() returns, the worker processes it started)."""
+    before = set(multiprocessing.active_children())
+    built = build()
+    return built, [p for p in multiprocessing.active_children() if p not in before]
+
+
+OFF_DEFAULT = {"raec1.frame_size": 128, "raec1.partitions": 5, "raec2.frame_size": 512,
+               "raec2.iterations": 3, "dtp.a01": 0.003, "rpe.partitions_low": 3,
+               "ns.g_min": 0.25, "ns.theta1_db": -8.0, "vad.hangover": 3}
+
+
+class TestItemPool:
+    @pytest.mark.parametrize("genes", [{}, OFF_DEFAULT], ids=["default", "off_default"])
+    def test_pooled_score_equals_in_process_score(self, small_corpus, genes):
+        items = _load_items(small_corpus)
+        params = {**default_params(), **genes}
+        pipeline_params = build_pipeline_params(params)
+        gains = [segmental_snr_improvement(
+                     speech.samples,
+                     process_stream(mix, ref, pipeline_params).enhanced.samples,
+                     mix.samples)
+                 for mix, speech, ref in items]
+        assert signal_fidelity_objective(items)(params) == float(np.mean(gains))
+
+    def test_candidates_in_flight_do_not_change_the_result(self, small_corpus):
+        objective = signal_fidelity_objective(_load_items(small_corpus))
+        results = [ga_run(GaConfig(population=4, elite=1, generations=2, seed=4, jobs=jobs),
+                          default_bounds(), objective)
+                   for jobs in (1, 2)]
+        assert results[0].best_params == results[1].best_params
+        assert results[0].best_score == results[1].best_score
+        assert results[0].history == results[1].history
+
+    def test_one_worker_per_core_at_most_one_per_item(self, small_corpus):
+        items = _load_items(small_corpus)
+        cores = len(os.sched_getaffinity(0))
+        for n in (1, len(items)):
+            _, workers = _workers_started_by(lambda: signal_fidelity_objective(items[:n]))
+            assert len(workers) == min(cores, n)
+
+    def test_workers_exit_with_their_objective(self, small_corpus):
+        objective, workers = _workers_started_by(
+            lambda: signal_fidelity_objective(_load_items(small_corpus)))
+        assert workers
+        del objective
+        gc.collect()
+        deadline = time.monotonic() + 5.0
+        while (set(workers) & set(multiprocessing.active_children())
+               and time.monotonic() < deadline):
+            time.sleep(0.05)
+        assert not set(workers) & set(multiprocessing.active_children())
+
+    def test_dead_worker_fails_the_run(self, small_corpus):
+        objective, workers = _workers_started_by(
+            lambda: signal_fidelity_objective(_load_items(small_corpus)))
+        workers[0].kill()
+        workers[0].join(timeout=5.0)
+        assert not workers[0].is_alive()
+        with pytest.raises(BrokenProcessPool):
+            ga_run(GaConfig(population=2, elite=1, generations=1, seed=0),
+                   default_bounds(), objective)
 
 
 class TestExternalObjective:
