@@ -10,7 +10,7 @@ parameter tuner.
 from .audio import AudioBuffer, read_wav, write_wav
 from .params import PipelineParams, build_pipeline_params, default_params
 from .pipeline import EnhanceResult, measure_erle, process_stream
-from .stft import StftConfig, analyze, synthesize
+from .stft import analyze, synthesize
 
 __version__ = "0.1.0"
 
@@ -18,7 +18,6 @@ __all__ = [
     "AudioBuffer",
     "EnhanceResult",
     "PipelineParams",
-    "StftConfig",
     "analyze",
     "build_pipeline_params",
     "default_params",

@@ -22,7 +22,6 @@ from .audio import read_wav, write_wav
 from .errors import ConfigError, EchoforgeError, InputError
 from .metrics import erle_db, segmental_snr
 from .pipeline import measure_erle, process_stream, write_diagnostics_file
-from .stft import StftConfig
 
 log = logging.getLogger("echoforge")
 
@@ -34,41 +33,33 @@ def _setup_logging():
 
 
 def load_run_config(path):
-    """Split a config file into (stft config, parameter overrides).
+    """Read a config file into pipeline parameters.
 
     Unknown keys are rejected; parameter values are validated against
     their schema bounds.
     """
     raw = cfgmod.read_config(path) if path else {}
-    stft_kwargs = {}
     overrides = {}
     for key, value in raw.items():
-        if key == "stft.frame_len":
-            stft_kwargs["frame_len"] = cfgmod.as_int(value, key)
-        elif key == "stft.hop":
-            stft_kwargs["hop"] = cfgmod.as_int(value, key)
-        elif key == "stft.window":
-            stft_kwargs["window"] = value
-        elif key == "ns.cap_at_unity":
+        if key == "ns.cap_at_unity":
             overrides[key] = cfgmod.as_bool(value, key)
         else:
             paramsmod.field(key)  # raises ConfigError for unknown keys
             overrides[key] = cfgmod.as_float(value, key)
     cap = overrides.pop("ns.cap_at_unity", False)
-    stft_cfg = StftConfig(**stft_kwargs)
     pipeline_params = paramsmod.build_pipeline_params(overrides)
     if cap:
         pipeline_params = replace(
             pipeline_params,
             suppressor=replace(pipeline_params.suppressor, cap_at_unity=True))
-    return stft_cfg, pipeline_params, overrides
+    return pipeline_params
 
 
 def cmd_enhance(args) -> int:
-    stft_cfg, pipeline_params, _ = load_run_config(args.config)
+    pipeline_params = load_run_config(args.config)
     mic = read_wav(args.mic)
     ref = read_wav(args.reference)
-    result = process_stream(mic, ref, pipeline_params, stft_cfg,
+    result = process_stream(mic, ref, pipeline_params,
                             collect_diagnostics=args.diagnostics)
     write_wav(args.output, result.enhanced)
     stem, _ = os.path.splitext(args.output)

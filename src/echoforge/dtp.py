@@ -38,8 +38,8 @@ class DtpParams:
     b10: float = 0.1
     alpha: float = 0.9            # PSD smoothing
     beta: float = 0.7             # probability smoothing
-    k_begin: int = 10             # ~300 Hz at 512/16k
-    k_end: int = 109              # ~3400 Hz
+    k_begin: int = 10             # coherence band start: bin 10 = 312.5 Hz
+    k_end: int = 109              # coherence band end: bin 109 = 3406.25 Hz
     frame_duration: float = 0.016  # seconds per frame hop
     tau: float = 0.1              # hysteresis debounce time constant, seconds
 

@@ -43,26 +43,16 @@ class NoisePowerEstimator:
 
     Cold start: the first COLD_START_FRAMES periodograms are averaged
     straight into the estimate before the probability recursion engages.
-    An explicit initial_power skips the warm-up.
     """
 
-    def __init__(self, params: NpeParams, n_bins: int,
-                 initial_power: np.ndarray | None = None):
+    def __init__(self, params: NpeParams, n_bins: int):
         self.params = params
         self.n_bins = n_bins
         self.smoothed_p = np.zeros(n_bins)
-        if initial_power is not None:
-            initial_power = np.asarray(initial_power, dtype=float)
-            if initial_power.shape != (n_bins,):
-                raise InputError(
-                    f"initial_power must have shape ({n_bins},), got {initial_power.shape}")
-            self.noise_power = np.maximum(initial_power, NOISE_FLOOR)
-            self._warmup_left = 0
-        else:
-            self.noise_power = np.full(n_bins, NOISE_FLOOR)
-            self._warmup_left = COLD_START_FRAMES
-            self._warmup_acc = np.zeros(n_bins)
-            self._warmup_count = 0
+        self.noise_power = np.full(n_bins, NOISE_FLOOR)
+        self._warmup_left = COLD_START_FRAMES
+        self._warmup_acc = np.zeros(n_bins)
+        self._warmup_count = 0
 
     def update(self, e_frame: np.ndarray) -> np.ndarray:
         """Consume one spectral frame, return the per-bin noise power."""

@@ -9,8 +9,9 @@ the voice activity detector. Everything is deterministic given inputs
 and parameters; the per-stream estimator state (held inside
 process_stream) is strictly sequential and never shared between streams.
 
-Output sample n depends on input samples up to n + frame_len - 1 (one
-analysis frame of lookahead from the overlap-add synthesis).
+Input is at SAMPLE_RATE (16 kHz). Output sample n depends on input
+samples up to n + FRAME_LEN - 1 (one analysis frame of lookahead from the
+overlap-add synthesis).
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .npe import NoisePowerEstimator
 from .params import PipelineParams, build_pipeline_params
 from .raec import cascade_run
 from .rpe import ResidualPowerEstimator, combine_residual_power
-from .stft import StftConfig, analyze, synthesize
+from .stft import FRAME_LEN, HOP, N_BINS, SAMPLE_RATE, analyze, synthesize
 from .suppressor import Suppressor
 from .vad import VadDecider, segments_from_flags, vad_statistic
 
@@ -54,23 +55,21 @@ class EnhanceResult:
 
 def process_stream(mic: AudioBuffer, reference: AudioBuffer,
                    params: PipelineParams | None = None,
-                   stft_cfg: StftConfig | None = None,
                    collect_diagnostics: bool = False) -> EnhanceResult:
     """Run the whole front end over one mic/reference pair.
 
-    The shorter signal is zero-padded; the enhanced output has exactly
-    the mic's length. collect_diagnostics keeps the per-frame traces in
-    the result. Raises InputError if the enhanced output is not finite:
-    the AudioBuffer that carries it rejects NaN and Inf.
+    Both signals must be at SAMPLE_RATE, else InputError. The shorter
+    signal is zero-padded; the enhanced output has exactly the mic's
+    length. collect_diagnostics keeps the per-frame traces in the result.
+    Raises InputError if the enhanced output is not finite: the
+    AudioBuffer that carries it rejects NaN and Inf.
     """
     if params is None:
         params = build_pipeline_params()
-    if stft_cfg is None:
-        stft_cfg = StftConfig()
-    if mic.sample_rate != reference.sample_rate:
-        raise InputError(
-            f"sample-rate mismatch: mic {mic.sample_rate} vs reference "
-            f"{reference.sample_rate}")
+    for name, buffer in (("mic", mic), ("reference", reference)):
+        if buffer.sample_rate != SAMPLE_RATE:
+            raise InputError(f"{name} is at {buffer.sample_rate} Hz; the front end "
+                             f"runs at {SAMPLE_RATE} Hz")
 
     out_len = len(mic)
     length = max(len(mic), len(reference))
@@ -81,26 +80,25 @@ def process_stream(mic: AudioBuffer, reference: AudioBuffer,
 
     e, d_hat, _, _ = cascade_run(x, y, params.raec1, params.raec2)
 
-    rate = mic.sample_rate
-    spec_y = analyze(AudioBuffer(y, rate), stft_cfg)
-    spec_x = analyze(AudioBuffer(x, rate), stft_cfg)
-    spec_e = analyze(AudioBuffer(e, rate), stft_cfg)
-    spec_d = analyze(AudioBuffer(d_hat, rate), stft_cfg)
-    n_frames, n_bins = spec_e.shape
+    spec_y = analyze(AudioBuffer(y))
+    spec_x = analyze(AudioBuffer(x))
+    spec_e = analyze(AudioBuffer(e))
+    spec_d = analyze(AudioBuffer(d_hat))
+    n_frames = len(spec_e)
 
-    dtp = DtpEstimator(params.dtp, n_bins)
-    rpe = ResidualPowerEstimator(params.rpe, n_bins)
-    npe = NoisePowerEstimator(params.npe, n_bins)
-    suppressor = Suppressor(params.suppressor, n_bins)
+    dtp = DtpEstimator(params.dtp, N_BINS)
+    rpe = ResidualPowerEstimator(params.rpe, N_BINS)
+    npe = NoisePowerEstimator(params.npe, N_BINS)
+    suppressor = Suppressor(params.suppressor, N_BINS)
     vad = VadDecider(params.vad)
 
     out_frames = np.empty_like(spec_e)
     flags = []
     diag = Diagnostics(
-        p_dt=np.empty(n_frames), xi=np.empty((n_frames, n_bins)),
-        gamma=np.empty((n_frames, n_bins)), zeta=np.empty((n_frames, n_bins)),
-        noise_power=np.empty((n_frames, n_bins)),
-        residual_power=np.empty((n_frames, n_bins)),
+        p_dt=np.empty(n_frames), xi=np.empty((n_frames, N_BINS)),
+        gamma=np.empty((n_frames, N_BINS)), zeta=np.empty((n_frames, N_BINS)),
+        noise_power=np.empty((n_frames, N_BINS)),
+        residual_power=np.empty((n_frames, N_BINS)),
         vad_statistic=np.empty(n_frames),
     ) if collect_diagnostics else None
 
@@ -124,8 +122,8 @@ def process_stream(mic: AudioBuffer, reference: AudioBuffer,
             diag.residual_power[m] = residual_power
             diag.vad_statistic[m] = statistic
 
-    enhanced = synthesize(out_frames, stft_cfg, length=out_len, sample_rate=rate)
-    segments = segments_from_flags(flags, stft_cfg.hop, stft_cfg.frame_len, out_len)
+    enhanced = synthesize(out_frames, length=out_len)
+    segments = segments_from_flags(flags, HOP, FRAME_LEN, out_len)
     return EnhanceResult(enhanced=enhanced, segments=segments, diagnostics=diag)
 
 

@@ -1,114 +1,67 @@
-"""Short-time transform shared by the frequency-domain stages.
+"""The front end's one frame clock: 512-point sqrt-hann frames at hop 256
+and 16 kHz.
 
-Frames are rows of a complex (n_frames, frame_len/2 + 1) array; frame m
-covers input samples [m*hop, m*hop + frame_len), the tail zero-padded.
+Every bin- and frame-based parameter assumes this clock: bin k sits at
+k * SAMPLE_RATE / FRAME_LEN = 31.25 k Hz, and a frame hop is 16 ms.
+Frames are rows of a complex (n_frames, N_BINS) array; frame m covers
+input samples [m*HOP, m*HOP + FRAME_LEN), the tail zero-padded.
 Reconstruction is windowed overlap-add normalized by the accumulated
-squared window, so any supported window/hop pair that keeps the overlap
-weight positive reconstructs exactly (constant-overlap-add holds by
-construction for sqrt-hann at 50% overlap).
+squared window, which is one in the interior at 50 % overlap and keeps
+the first and last half frame exact as well.
 
-Window definitions use the half-sample-shifted periodic form, which is
-nonzero at the frame edges; this keeps the first and last samples of a
-stream recoverable.
+The window is the half-sample-shifted periodic sine, nonzero at the frame
+edges; this keeps the first and last samples of a stream recoverable.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .audio import AudioBuffer
-from .errors import ConfigError, InputError
+from .errors import InputError
 
-WINDOWS = ("sqrt-hann", "hann", "rect")
-
-
-def _is_pow2(n: int) -> bool:
-    return n > 0 and (n & (n - 1)) == 0
-
-
-def make_window(kind: str, frame_len: int) -> np.ndarray:
-    if kind == "rect":
-        return np.ones(frame_len)
-    n = np.arange(frame_len)
-    sine = np.sin(np.pi * (n + 0.5) / frame_len)
-    if kind == "sqrt-hann":
-        return sine
-    if kind == "hann":
-        return sine**2
-    raise ConfigError(f"unknown window {kind!r}, expected one of {WINDOWS}")
+SAMPLE_RATE = 16000
+FRAME_LEN = 512
+HOP = 256
+N_BINS = FRAME_LEN // 2 + 1
+WINDOW = np.sin(np.pi * (np.arange(FRAME_LEN) + 0.5) / FRAME_LEN)
 
 
-@dataclass(frozen=True)
-class StftConfig:
-    frame_len: int = 512
-    hop: int = 256
-    window: str = "sqrt-hann"
-
-    def __post_init__(self):
-        if not _is_pow2(self.frame_len):
-            raise ConfigError(f"frame_len must be a power of two, got {self.frame_len}")
-        if not 0 < self.hop <= self.frame_len:
-            raise ConfigError(f"hop must be in (0, frame_len], got {self.hop}")
-        if self.window not in WINDOWS:
-            raise ConfigError(f"unknown window {self.window!r}, expected one of {WINDOWS}")
-
-    @property
-    def n_bins(self) -> int:
-        return self.frame_len // 2 + 1
-
-    def analysis_window(self) -> np.ndarray:
-        return make_window(self.window, self.frame_len)
-
-    def frame_count(self, n_samples: int) -> int:
-        if n_samples <= 0:
-            return 0
-        return int(np.ceil(n_samples / self.hop))
-
-
-def analyze(buffer: AudioBuffer, cfg: StftConfig) -> np.ndarray:
-    """Forward transform: (n_frames, n_bins) complex spectra."""
+def analyze(buffer: AudioBuffer) -> np.ndarray:
+    """Forward transform: (n_frames, N_BINS) complex spectra."""
     x = buffer.samples
-    n_frames = cfg.frame_count(len(x))
+    n_frames = -(-len(x) // HOP)
     if n_frames == 0:
-        return np.zeros((0, cfg.n_bins), dtype=complex)
-    padded = np.zeros((n_frames - 1) * cfg.hop + cfg.frame_len)
+        return np.zeros((0, N_BINS), dtype=complex)
+    padded = np.zeros((n_frames + 1) * HOP)
     padded[: len(x)] = x
-    idx = np.arange(cfg.frame_len)[None, :] + cfg.hop * np.arange(n_frames)[:, None]
-    frames = padded[idx] * cfg.analysis_window()[None, :]
+    frames = np.lib.stride_tricks.sliding_window_view(padded, FRAME_LEN)[::HOP] * WINDOW
     return np.fft.rfft(frames, axis=1)
 
 
-def synthesize(frames: np.ndarray, cfg: StftConfig, length: int | None = None,
-               sample_rate: int = 16000) -> AudioBuffer:
+def synthesize(frames: np.ndarray, length: int | None = None) -> AudioBuffer:
     """Inverse transform via normalized weighted overlap-add.
 
-    Round-trips analyze() exactly (up to float precision) for any valid
-    config. `length` trims the trailing analysis padding.
+    Round-trips analyze() exactly (up to float precision). `length` trims
+    the trailing analysis padding.
     """
     frames = np.asarray(frames)
-    if frames.ndim != 2 or frames.shape[1] != cfg.n_bins:
-        raise InputError(
-            f"expected frames of shape (n, {cfg.n_bins}), got {frames.shape}")
+    if frames.ndim != 2 or frames.shape[1] != N_BINS:
+        raise InputError(f"expected frames of shape (n, {N_BINS}), got {frames.shape}")
     n_frames = frames.shape[0]
-    total = (n_frames - 1) * cfg.hop + cfg.frame_len if n_frames else 0
+    total = (n_frames + 1) * HOP if n_frames else 0
     if length is None:
         length = total
     out = np.zeros(max(total, length))
     weight = np.zeros(max(total, length))
     if n_frames:
-        window = cfg.analysis_window()
-        blocks = np.fft.irfft(frames, n=cfg.frame_len, axis=1) * window[None, :]
-        wsq = window**2
-        for m in range(n_frames):
-            start = m * cfg.hop
-            out[start : start + cfg.frame_len] += blocks[m]
-            weight[start : start + cfg.frame_len] += wsq
+        blocks = np.fft.irfft(frames, n=FRAME_LEN, axis=1) * WINDOW
+        wsq = WINDOW**2
+        # frame m's second half overlaps frame m+1's first half; adding the
+        # second halves first keeps the sums of a frame-by-frame loop
+        out[HOP:total] += blocks[:, HOP:].ravel()
+        out[: total - HOP] += blocks[:, :HOP].ravel()
+        weight[HOP:total] += np.tile(wsq[HOP:], n_frames)
+        weight[: total - HOP] += np.tile(wsq[:HOP], n_frames)
     np.divide(out, weight, out=out, where=weight > 1e-12)
-    return AudioBuffer(out[:length], sample_rate)
-
-
-def bin_of_freq(freq_hz: float, frame_len: int, sample_rate: int) -> int:
-    """Nearest transform bin for a frequency in Hz."""
-    return int(round(freq_hz * frame_len / sample_rate))
+    return AudioBuffer(out[:length], SAMPLE_RATE)

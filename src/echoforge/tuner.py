@@ -38,11 +38,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .audio import read_wav, write_wav
-from .errors import ConfigError
+from .errors import ConfigError, InputError
 from .metrics import segmental_snr_improvement
 from .params import SCHEMA, build_pipeline_params, field
 from .pipeline import process_stream
-from .stft import StftConfig
+from .stft import SAMPLE_RATE
 
 log = logging.getLogger("echoforge.tuner")
 
@@ -253,19 +253,22 @@ def load_corpus_items(manifest: dict, base_dir: str) -> list:
     """Load (mix, clean target, far-end reference) triples into memory.
 
     Unreadable items are skipped with a warning; the objective averages
-    over the rest.
+    over the rest. A file that is not at SAMPLE_RATE is an InputError.
     """
     items = []
     for entry in manifest["items"]:
-        files = entry["files"]
+        paths = [os.path.join(base_dir, entry["files"][key])
+                 for key in ("mix", "speech", "reference")]
         try:
-            mix = read_wav(os.path.join(base_dir, files["mix"]))
-            speech = read_wav(os.path.join(base_dir, files["speech"]))
-            ref = read_wav(os.path.join(base_dir, files["reference"]))
+            triple = tuple(read_wav(path) for path in paths)
         except (OSError, ValueError) as exc:
             log.warning("skipping item %s: %s", entry.get("item_id"), exc)
             continue
-        items.append((mix, speech, ref))
+        for path, buffer in zip(paths, triple):
+            if buffer.sample_rate != SAMPLE_RATE:
+                raise InputError(f"{path}: expected {SAMPLE_RATE} Hz, got "
+                                 f"{buffer.sample_rate} Hz")
+        items.append(triple)
     if not items:
         raise ConfigError("no readable corpus items")
     return items
@@ -280,17 +283,17 @@ def _hold_items(items) -> None:
     _worker_items = items
 
 
-def _score_item(i: int, pipeline_params, stft_cfg):
+def _score_item(i: int, pipeline_params):
     """Worker: segmental-SNR improvement of item i, enhanced."""
     mix, speech, ref = _worker_items[i]
-    result = process_stream(mix, ref, pipeline_params, stft_cfg)
+    result = process_stream(mix, ref, pipeline_params)
     return segmental_snr_improvement(speech.samples, result.enhanced.samples, mix.samples)
 
 
-def _enhance_item_to(i: int, pipeline_params, stft_cfg, workdir: str):
+def _enhance_item_to(i: int, pipeline_params, workdir: str):
     """Worker: write item i, enhanced, to workdir; return its VAD segments."""
     mix, _, ref = _worker_items[i]
-    result = process_stream(mix, ref, pipeline_params, stft_cfg)
+    result = process_stream(mix, ref, pipeline_params)
     write_wav(os.path.join(workdir, f"enhanced{i:04d}.wav"), result.enhanced)
     return [list(s) for s in result.segments]
 
@@ -314,21 +317,19 @@ def _map_items(pool: ProcessPoolExecutor, fn, n: int, *args) -> list:
     return [f.result() for f in futures]
 
 
-def signal_fidelity_objective(items, stft_cfg: StftConfig | None = None):
+def signal_fidelity_objective(items):
     """Mean segmental-SNR improvement of enhanced over mixture, in dB."""
     pool = _item_pool(items)
 
     def objective(params: dict) -> float:
         pipeline_params = build_pipeline_params(params)
-        return float(np.mean(_map_items(pool, _score_item, len(items),
-                                        pipeline_params, stft_cfg)))
+        return float(np.mean(_map_items(pool, _score_item, len(items), pipeline_params)))
 
     weakref.finalize(objective, pool.shutdown)  # the workers exit with the objective
     return objective
 
 
-def external_objective(command_template: str, exchange_dir, timeout: float,
-                       items, stft_cfg: StftConfig | None = None):
+def external_objective(command_template: str, exchange_dir, timeout: float, items):
     """Attachment point for an external scorer (e.g. a speech recognizer).
 
     Per candidate: enhanced WAVs plus a candidate manifest go to a fresh
@@ -343,8 +344,7 @@ def external_objective(command_template: str, exchange_dir, timeout: float,
     def objective(params: dict) -> float:
         pipeline_params = build_pipeline_params(params)
         workdir = tempfile.mkdtemp(prefix="candidate_", dir=exchange_dir)
-        segments = _map_items(pool, _enhance_item_to, len(items),
-                              pipeline_params, stft_cfg, workdir)
+        segments = _map_items(pool, _enhance_item_to, len(items), pipeline_params, workdir)
         entries = [{"enhanced": os.path.join(workdir, f"enhanced{i:04d}.wav"),
                     "segments": segs} for i, segs in enumerate(segments)]
         with open(os.path.join(workdir, "candidate.json"), "w", encoding="utf-8") as fh:

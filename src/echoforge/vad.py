@@ -20,7 +20,7 @@ from .errors import ConfigError, InputError
 
 @dataclass(frozen=True)
 class VadParams:
-    threshold: float = 38.55   # 0.15 per bin at 257 bins
+    threshold: float = 38.55   # 0.15 per bin over the 257 bins of the stft clock
     hangover_frames: int = 8
 
     def __post_init__(self):

@@ -23,7 +23,7 @@ from echoforge.params import default_params
 from echoforge.pipeline import process_stream
 from echoforge.raec import Raec, RaecParams, cascade_run, run_blocks
 from echoforge.rpe import combine_residual_power
-from echoforge.stft import StftConfig, analyze, synthesize
+from echoforge.stft import FRAME_LEN, HOP, N_BINS, analyze, synthesize
 from echoforge.suppressor import SuppressorParams, lsa_gain, mask_gain
 from echoforge.tuner import (GaConfig, default_bounds, ga_run,
                              load_corpus_items, mutate,
@@ -77,14 +77,12 @@ def acceptance_corpus(tmp_path_factory):
 
 def test_01_stft_round_trip():
     start = time.time()
-    cfg = StftConfig()
     rng = np.random.default_rng(1)
     worst = 0.0
     for _ in range(100):
         n = 5 * FS + int(rng.integers(0, 511))
         x = rng.uniform(-1, 1, n)
-        out = synthesize(analyze(AudioBuffer(x, FS), cfg), cfg,
-                         length=n, sample_rate=FS)
+        out = synthesize(analyze(AudioBuffer(x, FS)), length=n)
         worst = max(worst, float(np.max(np.abs(out.samples - x))))
     elapsed = time.time() - start
     assert worst <= 1e-6
@@ -162,14 +160,13 @@ def test_04_dtp_discrimination():
         gate[(4 * k + 2) * FS : (4 * k + 4) * FS] = True
     mic = echo + np.where(gate, speech, 0.0)
 
-    cfg = StftConfig()
-    spec_d = analyze(AudioBuffer(echo, FS), cfg)
-    spec_y = analyze(AudioBuffer(mic, FS), cfg)
-    est = DtpEstimator(DtpParams(), cfg.n_bins)
+    spec_d = analyze(AudioBuffer(echo, FS))
+    spec_y = analyze(AudioBuffer(mic, FS))
+    est = DtpEstimator(DtpParams(), N_BINS)
     scores = np.array([est.update(spec_d[m], spec_y[m])
                        for m in range(spec_d.shape[0])])
     labels = np.array([
-        gate[m * cfg.hop : m * cfg.hop + cfg.frame_len].mean() > 0.5
+        gate[m * HOP : m * HOP + FRAME_LEN].mean() > 0.5
         for m in range(spec_d.shape[0])])
     auc = _auc(scores, labels)
     assert auc >= 0.9
@@ -229,9 +226,8 @@ def test_08_npe_tracking():
 
     rng = np.random.default_rng(1)
     noise = rng.standard_normal(5 * FS) * 0.1
-    cfg = StftConfig()
-    frames = analyze(AudioBuffer(noise, FS), cfg)
-    est = NoisePowerEstimator(NpeParams(), cfg.n_bins)
+    frames = analyze(AudioBuffer(noise, FS))
+    est = NoisePowerEstimator(NpeParams(), N_BINS)
     for m in range(frames.shape[0]):
         tracked = est.update(frames[m])
     welch = np.mean(np.abs(frames[50:]) ** 2, axis=0)
@@ -241,9 +237,9 @@ def test_08_npe_tracking():
     speech = speech_like(6.0, seed=3, rms=0.1, bursts=True)
     noise2 = rng.standard_normal(6 * FS)
     noise2 *= 0.1 * 10 ** (-5 / 20) / np.sqrt(np.mean(noise2**2))
-    noisy = analyze(AudioBuffer(speech + noise2, FS), cfg)
-    clean_noise = analyze(AudioBuffer(noise2, FS), cfg)
-    est = NoisePowerEstimator(NpeParams(), cfg.n_bins)
+    noisy = analyze(AudioBuffer(speech + noise2, FS))
+    clean_noise = analyze(AudioBuffer(noise2, FS))
+    est = NoisePowerEstimator(NpeParams(), N_BINS)
     for m in range(noisy.shape[0]):
         tracked = est.update(noisy[m])
     true_noise = np.mean(np.abs(clean_noise[50:]) ** 2, axis=0)

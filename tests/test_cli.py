@@ -56,6 +56,24 @@ class TestEnhance:
         assert code == 3
         assert "raec1.warp" in capsys.readouterr().err
 
+    def test_stft_key_exit_3_naming_it(self, wav_pair, tmp_path, capsys):
+        mic, ref = wav_pair
+        cfg = tmp_path / "clock.cfg"
+        cfg.write_text("stft.hop = 128\n")
+        code = main(["enhance", mic, ref, str(tmp_path / "out.wav"),
+                     "--config", str(cfg)])
+        assert code == 3
+        assert "stft.hop" in capsys.readouterr().err
+
+    def test_48k_input_exit_2_naming_rate(self, tmp_path, capsys):
+        mic, ref = tmp_path / "mic48k.wav", tmp_path / "ref48k.wav"
+        write_wav(mic, AudioBuffer(speech_like(1.0, fs=48000, seed=83), 48000))
+        write_wav(ref, AudioBuffer(music_like(1.0, fs=48000, seed=84), 48000))
+        out = tmp_path / "out.wav"
+        assert main(["enhance", str(mic), str(ref), str(out)]) == 2
+        assert "48000 Hz" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_diagnostics_side_file(self, wav_pair, tmp_path):
         mic, ref = wav_pair
         out = str(tmp_path / "out.wav")
@@ -77,13 +95,13 @@ class TestMetrics:
         assert main(["metrics", mic, str(short)]) == 2
 
 
-def _write_sources(tmp_path):
+def _write_sources(tmp_path, fs=FS):
     paths = {}
     for name, maker, dur, seed in (("sp", speech_like, 1.0, 501),
                                    ("mu", music_like, 4.0, 502),
                                    ("no", speech_like, 4.0, 503)):
         p = tmp_path / f"{name}.wav"
-        write_wav(p, AudioBuffer(maker(dur, seed=seed, rms=0.08)))
+        write_wav(p, AudioBuffer(maker(dur, fs=fs, seed=seed, rms=0.08), fs))
         paths[name] = p.name  # relative to the config dir
     return paths
 
@@ -165,6 +183,23 @@ class TestTuneCommand:
         mic, ref = wav_pair
         assert main(["enhance", mic, ref, str(tmp_path / "o.wav"),
                      "--config", str(best)]) == 0
+
+    def test_corpus_at_8k_exit_2_naming_file(self, tmp_path, capsys):
+        paths = _write_sources(tmp_path, fs=8000)
+        corpus_cfg = tmp_path / "corpus.cfg"
+        corpus_cfg.write_text(
+            f"corpus.speech = {paths['sp']}\n"
+            f"corpus.music = {paths['mu']}\n"
+            f"corpus.noise.babble = {paths['no']}\n"
+            "corpus.sample_rate = 8000\n")
+        corpus_dir = tmp_path / "cc"
+        assert main(["corpus", str(corpus_cfg), "2", "--out", str(corpus_dir)]) == 0
+        best = tmp_path / "best.cfg"
+        code = main(["tune", str(corpus_dir / "manifest.json"), "--out", str(best)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert ".wav: expected 16000 Hz, got 8000 Hz" in err
+        assert not best.exists()
 
     def test_bad_bounds_key_exit_3(self, tmp_path, capsys):
         ga_cfg = tmp_path / "ga.cfg"

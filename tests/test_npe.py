@@ -3,8 +3,8 @@ import pytest
 
 from echoforge.audio import AudioBuffer
 from echoforge.errors import ConfigError, InputError
-from echoforge.npe import NOISE_FLOOR, NoisePowerEstimator, NpeParams
-from echoforge.stft import StftConfig, analyze
+from echoforge.npe import COLD_START_FRAMES, NOISE_FLOOR, NoisePowerEstimator, NpeParams
+from echoforge.stft import analyze
 from conftest import speech_like
 
 FS = 16000
@@ -14,18 +14,22 @@ N_BINS = 257
 class TestRecursion:
     def test_matching_periodogram_is_a_fixed_point(self):
         # |E|^2 == noise power => the blended periodogram equals the power,
-        # so the exponential average must return its input
+        # so the exponential average must return its input; the cold start
+        # sets the power to the level first
         level = 0.37
-        est = NoisePowerEstimator(NpeParams(), N_BINS,
-                                  initial_power=np.full(N_BINS, level))
+        est = NoisePowerEstimator(NpeParams(), N_BINS)
         frame = np.full(N_BINS, np.sqrt(level), dtype=complex)
+        for _ in range(COLD_START_FRAMES):
+            est.update(frame)
         for _ in range(20):
             out = est.update(frame)
             assert np.allclose(out, level, atol=1e-9)
 
     def test_zero_input_decays_to_floor(self):
-        est = NoisePowerEstimator(NpeParams(), N_BINS,
-                                  initial_power=np.ones(N_BINS))
+        est = NoisePowerEstimator(NpeParams(), N_BINS)
+        for _ in range(COLD_START_FRAMES):
+            out = est.update(np.ones(N_BINS, complex))
+        assert np.allclose(out, 1.0)
         for _ in range(500):
             out = est.update(np.zeros(N_BINS, complex))
         assert np.all(out == NOISE_FLOOR)
@@ -45,14 +49,11 @@ class TestRecursion:
             NpeParams(xi_h1=0.0)
         with pytest.raises(ConfigError):
             NpeParams(p_threshold=1.0)
-        with pytest.raises(InputError):
-            NoisePowerEstimator(NpeParams(), N_BINS, initial_power=np.ones(3))
 
 
 def _track(signal, n_skip=50):
-    cfg = StftConfig()
-    frames = analyze(AudioBuffer(signal, FS), cfg)
-    est = NoisePowerEstimator(NpeParams(), cfg.n_bins)
+    frames = analyze(AudioBuffer(signal, FS))
+    est = NoisePowerEstimator(NpeParams(), N_BINS)
     for m in range(frames.shape[0]):
         out = est.update(frames[m])
     welch = np.mean(np.abs(frames[n_skip:]) ** 2, axis=0)
@@ -72,10 +73,9 @@ class TestTracking:
         speech = speech_like(6.0, seed=3, rms=0.1, bursts=True)
         noise = rng.standard_normal(6 * FS)
         noise *= 0.1 * 10 ** (-5 / 20) / np.sqrt(np.mean(noise**2))  # 5 dB SNR
-        cfg = StftConfig()
-        noisy_frames = analyze(AudioBuffer(speech + noise, FS), cfg)
-        noise_frames = analyze(AudioBuffer(noise, FS), cfg)
-        est = NoisePowerEstimator(NpeParams(), cfg.n_bins)
+        noisy_frames = analyze(AudioBuffer(speech + noise, FS))
+        noise_frames = analyze(AudioBuffer(noise, FS))
+        est = NoisePowerEstimator(NpeParams(), N_BINS)
         for m in range(noisy_frames.shape[0]):
             tracked = est.update(noisy_frames[m])
         true_noise = np.mean(np.abs(noise_frames[50:]) ** 2, axis=0)

@@ -2,6 +2,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from echoforge.audio import AudioBuffer
 from echoforge.errors import InputError
@@ -9,7 +11,7 @@ from echoforge.metrics import erle_windows, segmental_snr
 from echoforge.params import build_pipeline_params
 from echoforge.pipeline import (measure_erle, process_stream,
                                 write_diagnostics_file)
-from echoforge.stft import StftConfig
+from echoforge.stft import FRAME_LEN
 from echoforge.suppressor import Suppressor, SuppressorParams
 from conftest import music_like, speech_like
 from scipy.signal import fftconvolve
@@ -68,6 +70,16 @@ class TestContracts:
         with pytest.raises(InputError):
             process_stream(mic, ref)
 
+    @pytest.mark.parametrize("mic_rate, ref_rate, named", [
+        (48000, 48000, "mic is at 48000 Hz"),
+        (16000, 48000, "reference is at 48000 Hz"),
+        (8000, 8000, "mic is at 8000 Hz")], ids=["48k", "ref-48k", "8k"])
+    def test_rates_other_than_16k_rejected(self, mic_rate, ref_rate, named):
+        mic = AudioBuffer(np.zeros(mic_rate), mic_rate)
+        ref = AudioBuffer(np.zeros(ref_rate), ref_rate)
+        with pytest.raises(InputError, match=named):
+            process_stream(mic, ref)
+
     def test_shorter_reference_padded_and_output_matches_mic_length(self):
         mic = AudioBuffer(speech_like(2.0, seed=12), FS)
         ref = AudioBuffer(music_like(1.0, seed=13), FS)
@@ -101,8 +113,49 @@ class TestContracts:
         mic_b = AudioBuffer(samples_b, FS)
         out_a = process_stream(mic_a, ref).enhanced.samples
         out_b = process_stream(mic_b, ref).enhanced.samples
-        frame_len = StftConfig().frame_len
-        assert np.array_equal(out_a[: cut - frame_len], out_b[: cut - frame_len])
+        assert np.array_equal(out_a[: cut - FRAME_LEN], out_b[: cut - FRAME_LEN])
+
+
+EDGE_KINDS = ("zero", "dc", "clipped", "noise")
+# empty, one sample, frame-boundary lengths, and anything up to 0.75 s
+edge_lengths = st.one_of(st.sampled_from([0, 1, 255, 256, 257, 512]),
+                         st.integers(0, 3 * FS // 4))
+
+
+def _edge_signal(kind, n, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "zero":
+        return np.zeros(n)
+    if kind == "dc":
+        return np.full(n, rng.choice([-1.0, -0.5, 0.5, 1.0]))
+    if kind == "clipped":  # full scale, hard-clipped
+        return np.clip(4.0 * rng.standard_normal(n), -1.0, 1.0)
+    return 0.1 * rng.standard_normal(n)
+
+
+class TestEdgeInputs:
+    @given(mic_kind=st.sampled_from(EDGE_KINDS), ref_kind=st.sampled_from(EDGE_KINDS),
+           mic_len=edge_lengths, ref_len=edge_lengths, seed=st.integers(0, 2**16))
+    @settings(max_examples=40, deadline=None)
+    def test_output_is_finite_at_mic_length(self, mic_kind, ref_kind, mic_len,
+                                            ref_len, seed):
+        mic = AudioBuffer(_edge_signal(mic_kind, mic_len, seed), FS)
+        ref = AudioBuffer(_edge_signal(ref_kind, ref_len, seed + 1), FS)
+        result = process_stream(mic, ref)
+        assert len(result.enhanced) == mic_len
+        assert result.enhanced.sample_rate == FS
+        assert np.all(np.isfinite(result.enhanced.samples))
+        for start, end in result.segments:
+            assert 0 <= start < end <= mic_len
+
+    @given(mic_len=edge_lengths, ref_len=edge_lengths)
+    @settings(max_examples=20, deadline=None)
+    def test_all_zero_input_gives_all_zero_output(self, mic_len, ref_len):
+        result = process_stream(AudioBuffer(np.zeros(mic_len), FS),
+                                AudioBuffer(np.zeros(ref_len), FS))
+        assert len(result.enhanced) == mic_len
+        assert np.all(result.enhanced.samples == 0)
+        assert result.segments == []
 
 
 class TestDiagnostics:

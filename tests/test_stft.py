@@ -2,8 +2,12 @@ import numpy as np
 import pytest
 
 from echoforge.audio import AudioBuffer, read_wav, write_wav
+from echoforge.cli import load_run_config
+from echoforge.dtp import DtpParams
 from echoforge.errors import ConfigError, InputError
-from echoforge.stft import StftConfig, analyze, bin_of_freq, make_window, synthesize
+from echoforge.stft import (FRAME_LEN, HOP, N_BINS, SAMPLE_RATE, WINDOW, analyze,
+                            synthesize)
+from echoforge.vad import VadParams
 
 FS = 16000
 
@@ -15,123 +19,137 @@ def _random_buffer(n, seed=0, scale=0.5):
 
 class TestAnalyze:
     def test_zero_buffer_gives_zero_frames(self):
-        frames = analyze(AudioBuffer(np.zeros(4096), FS), StftConfig())
+        frames = analyze(AudioBuffer(np.zeros(4096), FS))
         assert frames.shape[1] == 257
         assert np.all(frames == 0)
 
     def test_empty_buffer_gives_empty_sequence(self):
-        frames = analyze(AudioBuffer(np.zeros(0), FS), StftConfig())
+        frames = analyze(AudioBuffer(np.zeros(0), FS))
         assert frames.shape == (0, 257)
 
     def test_sinusoid_concentrates_in_its_bin(self):
-        # rect window, hop == frame_len: frames are plain DFTs
-        cfg = StftConfig(frame_len=512, hop=512, window="rect")
         k = 32
         n = np.arange(2048)
-        x = np.cos(2 * np.pi * k * n / 512)
-        frames = analyze(AudioBuffer(x, FS), cfg)
-        # oracle: direct DFT sum of one frame
-        frame0 = x[:512]
-        expected = np.sum(frame0 * np.exp(-2j * np.pi * k * np.arange(512) / 512))
-        assert frames[0, k] == pytest.approx(expected, rel=1e-9)
-        peak = np.abs(frames[0, k])
-        others = np.delete(np.abs(frames[0]), k)
-        assert np.all(others < 1e-10 * peak)
+        x = np.cos(2 * np.pi * k * n / FRAME_LEN)
+        frames = analyze(AudioBuffer(x, FS))
+        # oracle: direct DFT sums of the first windowed frame
+        bins = np.arange(N_BINS)[:, None]
+        kernel = np.exp(-2j * np.pi * bins * np.arange(FRAME_LEN) / FRAME_LEN)
+        expected = kernel @ (x[:FRAME_LEN] * WINDOW)
+        assert np.allclose(frames[0], expected, rtol=1e-9, atol=1e-9)
+        assert np.argmax(np.abs(frames[0])) == k
 
     def test_unit_impulse_gives_flat_frame(self):
-        cfg = StftConfig(frame_len=512, hop=512, window="rect")
-        x = np.zeros(512)
+        x = np.zeros(FRAME_LEN)
         x[0] = 1.0
-        frames = analyze(AudioBuffer(x, FS), cfg)
-        window = make_window("rect", 512)
-        assert np.allclose(frames[0], window[0])
+        frames = analyze(AudioBuffer(x, FS))
+        assert np.allclose(frames[0], WINDOW[0])
 
     def test_linearity(self):
-        cfg = StftConfig()
         x = _random_buffer(5000, seed=1)
         y = _random_buffer(5000, seed=2)
         a, b = 0.7, -1.3
         combo = AudioBuffer(a * x.samples + b * y.samples, FS)
-        lhs = analyze(combo, cfg)
-        rhs = a * analyze(x, cfg) + b * analyze(y, cfg)
+        lhs = analyze(combo)
+        rhs = a * analyze(x) + b * analyze(y)
         assert np.allclose(lhs, rhs, atol=1e-9)
 
     def test_frame_indexing_covers_input(self):
-        cfg = StftConfig(frame_len=512, hop=256)
-        x = _random_buffer(1000, seed=3)
-        frames = analyze(x, cfg)
-        assert frames.shape[0] == cfg.frame_count(1000) == 4
+        frames = analyze(_random_buffer(1000, seed=3))
+        # ceil(1000 / 256) frames; the last one starts at 768 and covers 999
+        assert frames.shape[0] == 4
 
     def test_real_input_symmetry_bins(self):
-        frames = analyze(_random_buffer(4096, seed=4), StftConfig())
+        frames = analyze(_random_buffer(4096, seed=4))
         assert np.all(frames[:, 0].imag == 0)
         assert np.all(frames[:, -1].imag == 0)
 
 
+def _frame_by_frame_overlap_add(frames, length):
+    """Reference synthesis: add each windowed frame in turn, then normalize."""
+    total = (len(frames) + 1) * HOP if len(frames) else 0
+    out = np.zeros(max(total, length))
+    weight = np.zeros(max(total, length))
+    blocks = np.fft.irfft(frames, n=FRAME_LEN, axis=1) * WINDOW
+    for m in range(len(frames)):
+        out[m * HOP : m * HOP + FRAME_LEN] += blocks[m]
+        weight[m * HOP : m * HOP + FRAME_LEN] += WINDOW**2
+    np.divide(out, weight, out=out, where=weight > 1e-12)
+    return out[:length]
+
+
 class TestSynthesize:
-    @pytest.mark.parametrize("window", ["sqrt-hann", "hann", "rect"])
-    @pytest.mark.parametrize("n", [512, 1000, 4096, 12345])
-    def test_round_trip(self, window, n):
-        cfg = StftConfig(frame_len=512, hop=256, window=window)
+    @pytest.mark.parametrize("n", [512, 1000, 4096, 12345],
+                             ids=lambda n: f"{n}-sqrt-hann")
+    def test_round_trip(self, n):
         x = _random_buffer(n, seed=n)
-        out = synthesize(analyze(x, cfg), cfg, length=n, sample_rate=FS)
+        out = synthesize(analyze(x), length=n)
+        assert out.sample_rate == SAMPLE_RATE
         assert np.max(np.abs(out.samples - x.samples)) <= 1e-6
 
-    def test_round_trip_rect_no_overlap(self):
-        cfg = StftConfig(frame_len=512, hop=512, window="rect")
-        x = _random_buffer(2048, seed=9)
-        out = synthesize(analyze(x, cfg), cfg, length=2048, sample_rate=FS)
-        assert np.max(np.abs(out.samples - x.samples)) <= 1e-6
+    @pytest.mark.parametrize("n", [0, 1, 255, 256, 257, 511, 512, 513, 16000])
+    def test_matches_frame_by_frame_overlap_add(self, n):
+        rng = np.random.default_rng(n)
+        frames = analyze(AudioBuffer(rng.standard_normal(n), FS))
+        frames *= 1 + 0.3 * rng.standard_normal(frames.shape)
+        for length in (n, n + 700):
+            out = synthesize(frames, length=length).samples
+            assert out.tobytes() == _frame_by_frame_overlap_add(frames, length).tobytes()
 
     def test_zero_frames_give_zero_buffer(self):
-        cfg = StftConfig()
-        out = synthesize(np.zeros((5, 257), dtype=complex), cfg)
+        out = synthesize(np.zeros((5, 257), dtype=complex))
         assert np.all(out.samples == 0)
 
     def test_scaling_frames_scales_output(self):
-        cfg = StftConfig()
         x = _random_buffer(3000, seed=5)
-        frames = analyze(x, cfg)
-        base = synthesize(frames, cfg, length=3000, sample_rate=FS)
-        scaled = synthesize(2.5 * frames, cfg, length=3000, sample_rate=FS)
+        frames = analyze(x)
+        base = synthesize(frames, length=3000)
+        scaled = synthesize(2.5 * frames, length=3000)
         assert np.allclose(scaled.samples, 2.5 * base.samples, atol=1e-9)
 
     def test_bad_frame_shape_rejected(self):
         with pytest.raises(InputError):
-            synthesize(np.zeros((3, 100), dtype=complex), StftConfig())
+            synthesize(np.zeros((3, 100), dtype=complex))
 
 
 class TestParseval:
     def test_frame_energy_matches_windowed_time_energy(self):
-        cfg = StftConfig()
         x = _random_buffer(4096, seed=6)
-        frames = analyze(x, cfg)
-        window = cfg.analysis_window()
-        padded = np.zeros((frames.shape[0] - 1) * cfg.hop + cfg.frame_len)
+        frames = analyze(x)
+        padded = np.zeros((frames.shape[0] - 1) * HOP + FRAME_LEN)
         padded[: len(x)] = x.samples
         for m in range(frames.shape[0]):
-            seg = padded[m * cfg.hop : m * cfg.hop + cfg.frame_len] * window
+            seg = padded[m * HOP : m * HOP + FRAME_LEN] * WINDOW
             time_energy = np.sum(seg**2)
             mags = np.abs(frames[m]) ** 2
-            freq_energy = (mags[0] + mags[-1] + 2 * np.sum(mags[1:-1])) / cfg.frame_len
+            freq_energy = (mags[0] + mags[-1] + 2 * np.sum(mags[1:-1])) / FRAME_LEN
             assert freq_energy == pytest.approx(time_energy, rel=1e-6, abs=1e-12)
 
 
 class TestConfig:
-    def test_invalid_configs_rejected(self):
-        with pytest.raises(ConfigError):
-            StftConfig(frame_len=500)
-        with pytest.raises(ConfigError):
-            StftConfig(hop=0)
-        with pytest.raises(ConfigError):
-            StftConfig(hop=1024)
-        with pytest.raises(ConfigError):
-            StftConfig(window="kaiser")
+    def test_invalid_configs_rejected(self, tmp_path):
+        # the frame clock is fixed: every stft.* key is unknown, default or not
+        for line in ("stft.frame_len = 500", "stft.hop = 0", "stft.hop = 1024",
+                     "stft.window = kaiser", "stft.frame_len = 512"):
+            path = tmp_path / "run.cfg"
+            path.write_text(line + "\n")
+            with pytest.raises(ConfigError, match=line.split(" ")[0]):
+                load_run_config(str(path))
 
     def test_bin_of_freq(self):
-        assert bin_of_freq(0, 512, FS) == 0
-        assert bin_of_freq(8000, 512, FS) == 256
-        assert bin_of_freq(300, 512, FS) == 10
+        # a tone at f Hz peaks in bin round(f * FRAME_LEN / SAMPLE_RATE)
+        n = np.arange(4 * FRAME_LEN)
+        for freq, k in ((0.0, 0), (300.0, 10), (3406.25, 109), (8000.0, 256)):
+            frames = analyze(AudioBuffer(np.cos(2 * np.pi * freq * n / FS), FS))
+            assert np.argmax(np.abs(frames[1])) == k
+
+    def test_schema_defaults_match_the_clock(self):
+        assert (SAMPLE_RATE, FRAME_LEN, HOP, N_BINS) == (16000, 512, 256, 257)
+        assert DtpParams().frame_duration == HOP / SAMPLE_RATE
+        assert DtpParams().k_end < N_BINS
+        assert VadParams().threshold == pytest.approx(0.15 * N_BINS)
+        # constant overlap-add: squared window halves sum to one
+        assert np.allclose(WINDOW[:HOP] ** 2 + WINDOW[HOP:] ** 2, 1.0)
 
 
 class TestWavIO:
