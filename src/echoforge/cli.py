@@ -12,7 +12,7 @@ import json
 import logging
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields
 
 from . import config as cfgmod
 from . import corpus as corpusmod
@@ -33,26 +33,12 @@ def _setup_logging():
 
 
 def load_run_config(path):
-    """Read a config file into pipeline parameters.
-
-    Unknown keys are rejected; parameter values are validated against
-    their schema bounds.
-    """
+    """Read a config file into pipeline parameters: `ns.cap_at_unity` is a
+    boolean run setting, every other key a schema parameter."""
     raw = cfgmod.read_config(path) if path else {}
-    overrides = {}
-    for key, value in raw.items():
-        if key == "ns.cap_at_unity":
-            overrides[key] = cfgmod.as_bool(value, key)
-        else:
-            paramsmod.field(key)  # raises ConfigError for unknown keys
-            overrides[key] = cfgmod.as_float(value, key)
-    cap = overrides.pop("ns.cap_at_unity", False)
-    pipeline_params = paramsmod.build_pipeline_params(overrides)
-    if cap:
-        pipeline_params = replace(
-            pipeline_params,
-            suppressor=replace(pipeline_params.suppressor, cap_at_unity=True))
-    return pipeline_params
+    cap = cfgmod.as_bool(raw.pop("ns.cap_at_unity", "false"), "ns.cap_at_unity")
+    overrides = {key: cfgmod.as_float(value, key) for key, value in raw.items()}
+    return paramsmod.build_pipeline_params(overrides, cap_at_unity=cap)
 
 
 def cmd_enhance(args) -> int:
@@ -75,78 +61,89 @@ def cmd_enhance(args) -> int:
     return 0
 
 
-def _corpus_spec_from_config(path, seed_override=None):
+def _as_path_tuple(raw, key):
+    return tuple(cfgmod.as_paths(raw))
+
+
+# Every corpus spec key and its converter.
+_CORPUS_KEYS = {
+    **dict.fromkeys(["corpus.speech", "corpus.music", "corpus.irs"]
+                    + [f"corpus.noise.{t}" for t in corpusmod.NOISE_TYPES], _as_path_tuple),
+    **dict.fromkeys(["corpus.ser_min", "corpus.ser_max", "corpus.snr_min",
+                     "corpus.snr_max", "corpus.sigma3"], cfgmod.as_float),
+    "corpus.seed": cfgmod.as_int,
+}
+
+
+def load_corpus_spec(path, seed_override=None):
+    """Read a corpus spec file into (CorpusSpec, directory of the file);
+    absent keys take CorpusSpec's defaults."""
     raw = cfgmod.read_config(path)
     base_dir = os.path.dirname(os.path.abspath(path))
-
-    def paths(key):
-        return tuple(cfgmod.as_paths(raw.get(key, "")))
-
-    for key in raw:
-        if (key.startswith("corpus.noise.")
-                and key[len("corpus.noise."):] not in corpusmod.NOISE_TYPES):
-            raise ConfigError(f"unknown noise type in {key!r}; known types: "
-                              f"{', '.join(corpusmod.NOISE_TYPES)}")
-    noise = {t: paths(f"corpus.noise.{t}") for t in corpusmod.NOISE_TYPES}
+    v = {}
+    for key, value in raw.items():
+        if key not in _CORPUS_KEYS:
+            raise ConfigError(f"unknown corpus key {key!r}")
+        v[key] = _CORPUS_KEYS[key](value, key)
+    d = corpusmod.CorpusSpec  # its class attributes are the field defaults
     spec = corpusmod.CorpusSpec(
-        speech_files=paths("corpus.speech"),
-        music_files=paths("corpus.music"),
-        noise_files=noise,
-        ir_files=paths("corpus.irs"),
-        ser_range_db=(cfgmod.as_float(raw.get("corpus.ser_min", "-15"), "corpus.ser_min"),
-                      cfgmod.as_float(raw.get("corpus.ser_max", "-10"), "corpus.ser_max")),
-        snr_range_db=(cfgmod.as_float(raw.get("corpus.snr_min", "-10"), "corpus.snr_min"),
-                      cfgmod.as_float(raw.get("corpus.snr_max", "10"), "corpus.snr_max")),
-        sigma3=cfgmod.as_float(raw.get("corpus.sigma3", "0.1"), "corpus.sigma3"),
+        speech_files=v.get("corpus.speech", ()),
+        music_files=v.get("corpus.music", ()),
+        noise_files={t: v.get(f"corpus.noise.{t}", ()) for t in corpusmod.NOISE_TYPES},
+        ir_files=v.get("corpus.irs", d.ir_files),
+        ser_range_db=(v.get("corpus.ser_min", d.ser_range_db[0]),
+                      v.get("corpus.ser_max", d.ser_range_db[1])),
+        snr_range_db=(v.get("corpus.snr_min", d.snr_range_db[0]),
+                      v.get("corpus.snr_max", d.snr_range_db[1])),
+        sigma3=v.get("corpus.sigma3", d.sigma3),
         master_seed=(seed_override if seed_override is not None
-                     else cfgmod.as_int(raw.get("corpus.seed", "0"), "corpus.seed")),
-        sample_rate=cfgmod.as_int(raw.get("corpus.sample_rate", "16000"),
-                                  "corpus.sample_rate"),
+                     else v.get("corpus.seed", d.master_seed)),
     )
     return spec, base_dir
 
 
 def cmd_corpus(args) -> int:
-    spec, base_dir = _corpus_spec_from_config(args.spec, args.seed)
+    spec, base_dir = load_corpus_spec(args.spec, args.seed)
     recipes = corpusmod.generate_corpus(spec, args.count, args.out, base_dir)
     print(f"wrote {len(recipes)} items to {args.out}")
     return 0
 
 
-def cmd_tune(args) -> int:
-    raw = cfgmod.read_config(args.ga_config) if args.ga_config else {}
-    ga_kwargs = {}
-    for key, attr, conv in (
-            ("ga.population", "population", cfgmod.as_int),
-            ("ga.elite", "elite", cfgmod.as_int),
-            ("ga.generations", "generations", cfgmod.as_int),
-            ("ga.mutation_rate", "mutation_rate", cfgmod.as_float),
-            ("ga.mutation_scale", "mutation_scale", cfgmod.as_float),
-            ("ga.crossover_rate", "crossover_rate", cfgmod.as_float),
-            ("ga.tournament", "tournament", cfgmod.as_int),
-            ("ga.seed", "seed", cfgmod.as_int)):
-        if key in raw:
-            ga_kwargs[attr] = conv(raw[key], key)
-    if args.seed is not None:
-        ga_kwargs["seed"] = args.seed
-    if args.jobs is not None:
-        ga_kwargs["jobs"] = args.jobs
-    cfg = tunermod.GaConfig(**ga_kwargs)
+# ga.<field> for every GaConfig field but jobs, which is --jobs only.
+_GA_KEYS = {f"ga.{f.name}": cfgmod.as_int if isinstance(f.default, int) else cfgmod.as_float
+            for f in fields(tunermod.GaConfig) if f.name != "jobs"}
 
+
+def load_tune_config(path, seed=None, jobs=None):
+    """Read a GA config / bounds file into (GaConfig, bounds); a `seed`
+    from the command line overrides `ga.seed`."""
+    raw = cfgmod.read_config(path) if path else {}
+    ga_kwargs = {}
     bounds = tunermod.default_bounds()
     for key, value in raw.items():
-        if key.startswith("bounds."):
-            rest = key[len("bounds."):]
-            name, _, which = rest.rpartition(".")
+        if key in _GA_KEYS:
+            ga_kwargs[key[len("ga."):]] = _GA_KEYS[key](value, key)
+        elif key.startswith("bounds."):
+            name, _, which = key[len("bounds."):].rpartition(".")
             if which not in ("min", "max") or not name:
                 raise ConfigError(f"bad bounds key {key!r}; use bounds.<param>.min/max")
             paramsmod.field(name)  # raises ConfigError for unknown names
             lo, hi = bounds[name]
             v = cfgmod.as_float(value, key)
             bounds[name] = (v, hi) if which == "min" else (lo, v)
-        elif not key.startswith("ga."):
+        else:
             raise ConfigError(f"unknown tune config key {key!r}")
+    if seed is not None:
+        ga_kwargs["seed"] = seed
+    if jobs is not None:
+        ga_kwargs["jobs"] = jobs
+    cfg = tunermod.GaConfig(**ga_kwargs)
+    tunermod.validate_bounds(bounds)
+    return cfg, bounds
 
+
+def cmd_tune(args) -> int:
+    cfg, bounds = load_tune_config(args.ga_config, args.seed, args.jobs)
     manifest = corpusmod.read_manifest(args.manifest)
     base_dir = os.path.dirname(os.path.abspath(args.manifest))
     items = tunermod.load_corpus_items(manifest, base_dir)

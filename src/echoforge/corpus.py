@@ -28,6 +28,7 @@ from scipy.signal import fftconvolve, lfilter
 
 from .audio import AudioBuffer, read_wav, write_wav
 from .errors import ConfigError, InputError
+from .stft import SAMPLE_RATE
 
 # Pole-zero pinking filter (Paul Kellet's economy coefficients, as used in
 # the classic spectral-audio literature); -3 dB/octave within ~0.05 dB over
@@ -49,7 +50,6 @@ class CorpusSpec:
     snr_range_db: tuple = (-10.0, 10.0)
     sigma3: float = 0.1
     master_seed: int = 0
-    sample_rate: int = 16000
 
     def __post_init__(self):
         if not self.speech_files:
@@ -139,7 +139,6 @@ def pink_noise(n_samples: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def make_default_irs(count: int = 12, length: int = 1024,
-                     sample_rate: int = 16000,
                      seed: int = DEFAULT_IR_SEED) -> list:
     """Synthetic exponentially decaying impulse responses, unit energy.
 
@@ -151,20 +150,20 @@ def make_default_irs(count: int = 12, length: int = 1024,
     irs = []
     for _ in range(count):
         decay_ms = rng.uniform(20.0, 120.0)
-        tau = decay_ms / 1000.0 * sample_rate / np.log(1000.0)  # RT60-ish decay
+        tau = decay_ms / 1000.0 * SAMPLE_RATE / np.log(1000.0)  # RT60-ish decay
         t = np.arange(length)
         tail = rng.standard_normal(length) * np.exp(-t / tau)
         tail[0] = 3.0  # direct path dominates
-        irs.append(normalize_ir(AudioBuffer(tail, sample_rate)))
+        irs.append(normalize_ir(AudioBuffer(tail, SAMPLE_RATE)))
     return irs
 
 
-def _read_source(path, sample_rate: int) -> AudioBuffer:
+def _read_source(path) -> AudioBuffer:
     if not os.path.exists(path):
         raise FileNotFoundError(f"missing source file: {path}")
     buf = read_wav(path)
-    if buf.sample_rate != sample_rate:
-        raise InputError(f"{path}: expected {sample_rate} Hz, got {buf.sample_rate}")
+    if buf.sample_rate != SAMPLE_RATE:
+        raise InputError(f"{path}: expected {SAMPLE_RATE} Hz, got {buf.sample_rate} Hz")
     return buf
 
 
@@ -206,13 +205,12 @@ def _sum(recipe: MixtureRecipe, speech_dry: AudioBuffer, speech_reverb: AudioBuf
 
 def mix_item(recipe: MixtureRecipe, irs: list, base_dir: str = ".") -> MixResult:
     """Rebuild one corpus item deterministically from its recipe."""
-    sr = irs[0].sample_rate
-    speech_dry = _read_source(_resolve(base_dir, recipe.speech_path), sr)
+    speech_dry = _read_source(_resolve(base_dir, recipe.speech_path))
     length = len(speech_dry)
     music_path = _resolve(base_dir, recipe.music_path)
-    music = _excerpt(_read_source(music_path, sr), music_path, recipe.music_offset, length)
+    music = _excerpt(_read_source(music_path), music_path, recipe.music_offset, length)
     noise_path = _resolve(base_dir, recipe.noise_path)
-    noise = _excerpt(_read_source(noise_path, sr), noise_path, recipe.noise_offset, length)
+    noise = _excerpt(_read_source(noise_path), noise_path, recipe.noise_offset, length)
     return _sum(recipe, speech_dry, _reverberate(speech_dry, irs[recipe.ir_index_speech]),
                 music, _reverberate(music, irs[recipe.ir_index_music]), noise)
 
@@ -251,10 +249,9 @@ def _draw_recipe(spec: CorpusSpec, index: int, irs: list, base_dir: str):
     ir_index_speech = int(rng.integers(len(irs)))
     ir_index_music = int(rng.integers(len(irs)))
 
-    sr = spec.sample_rate
-    speech_dry = _read_source(_resolve(base_dir, speech_path), sr)
-    music_src = _read_source(_resolve(base_dir, music_path), sr)
-    noise_src = _read_source(_resolve(base_dir, noise_path), sr)
+    speech_dry = _read_source(_resolve(base_dir, speech_path))
+    music_src = _read_source(_resolve(base_dir, music_path))
+    noise_src = _read_source(_resolve(base_dir, noise_path))
     length, music_len, noise_len = len(speech_dry), len(music_src), len(noise_src)
     if music_len < length:
         raise ConfigError(f"{music_path}: shorter than speech item ({music_len} < {length})")
@@ -287,17 +284,10 @@ def generate_corpus(spec: CorpusSpec, n_items: int, out_dir,
     Writes <id>.mix.wav, <id>.speech.wav (reverberant target),
     <id>.speech_dry.wav, <id>.ref.wav (far-end reference) and a
     manifest.json listing every recipe, all float32 mono WAV. Every
-    impulse response must be at spec.sample_rate.
+    source file and impulse response must be at SAMPLE_RATE.
     """
     os.makedirs(out_dir, exist_ok=True)
-    if spec.ir_files:
-        irs = load_irs(spec.ir_files, base_dir)
-        for path, ir in zip(spec.ir_files, irs):
-            if ir.sample_rate != spec.sample_rate:
-                raise InputError(f"{_resolve(base_dir, path)}: impulse response at "
-                                 f"{ir.sample_rate} Hz, corpus at {spec.sample_rate} Hz")
-    else:
-        irs = make_default_irs(sample_rate=spec.sample_rate)
+    irs = load_irs(spec.ir_files, base_dir) if spec.ir_files else make_default_irs()
     recipes = []
     entries = []
     for i in range(n_items):
@@ -315,7 +305,7 @@ def generate_corpus(spec: CorpusSpec, n_items: int, out_dir,
         recipes.append(recipe)
         entries.append({**recipe.to_dict(), "files": paths})
     manifest = {
-        "sample_rate": spec.sample_rate,
+        "sample_rate": SAMPLE_RATE,
         "master_seed": spec.master_seed,
         "sigma3": spec.sigma3,
         "ir_files": list(spec.ir_files),
@@ -327,10 +317,8 @@ def generate_corpus(spec: CorpusSpec, n_items: int, out_dir,
 
 
 def load_irs(ir_files, base_dir: str = ".") -> list:
-    """Load and unit-energy-normalize user impulse responses."""
-    irs = []
-    for path in ir_files:
-        irs.append(normalize_ir(read_wav(_resolve(base_dir, path))))
+    """Load and unit-energy-normalize user impulse responses, each at SAMPLE_RATE."""
+    irs = [normalize_ir(_read_source(_resolve(base_dir, path))) for path in ir_files]
     if not irs:
         raise ConfigError("empty impulse-response list")
     return irs

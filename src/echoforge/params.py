@@ -120,11 +120,14 @@ class PipelineParams:
     vad: VadParams
 
 
-def build_pipeline_params(overrides: dict | None = None) -> PipelineParams:
+def build_pipeline_params(overrides: dict | None = None,
+                          cap_at_unity: bool = False) -> PipelineParams:
     """Assemble stage parameter objects from a flat (partial) dictionary.
 
     Values are validated twice: against the schema bounds here and by each
     stage's own constructor (which names the offending field).
+    `cap_at_unity` is the suppressor's listening switch: a run setting,
+    not a schema parameter, so the tuner never samples it.
     """
     p = default_params()
     if overrides:
@@ -170,6 +173,7 @@ def build_pipeline_params(overrides: dict | None = None) -> PipelineParams:
         suppressor=SuppressorParams(
             alpha_dd=p["ns.alpha_dd"], g_min=p["ns.g_min"],
             theta1=theta1, theta2=theta2, mask_alpha=p["ns.mask_alpha"],
+            cap_at_unity=cap_at_unity,
         ),
         vad=VadParams(
             threshold=p["vad.threshold"], hangover_frames=int(p["vad.hangover"]),

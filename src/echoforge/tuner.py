@@ -40,7 +40,7 @@ import numpy as np
 from .audio import read_wav, write_wav
 from .errors import ConfigError, InputError
 from .metrics import segmental_snr_improvement
-from .params import SCHEMA, build_pipeline_params, field
+from .params import SCHEMA, build_pipeline_params, field, validate_params
 from .pipeline import process_stream
 from .stft import SAMPLE_RATE
 
@@ -80,17 +80,20 @@ def default_bounds() -> dict:
 
 
 def validate_bounds(bounds: dict) -> None:
-    """Bounds must cover every tunable and sit inside the schema box."""
+    """Bounds must cover every tunable, each bound must be a valid value of
+    its parameter (inside the schema box, on an int or pow2 gene's
+    lattice), and lo <= hi."""
     for f in SCHEMA:
         if f.name not in bounds:
             raise ConfigError(f"bounds missing parameter {f.name!r}")
     for name, (lo, hi) in bounds.items():
-        f = field(name)
+        for which, value in (("min", lo), ("max", hi)):
+            try:
+                validate_params({name: value})
+            except ConfigError as exc:
+                raise ConfigError(f"bounds.{name}.{which}: {exc}") from None
         if lo > hi:
             raise ConfigError(f"{name}: bound lo {lo} > hi {hi}")
-        if lo < f.low or hi > f.high:
-            raise ConfigError(
-                f"{name}: bounds [{lo}, {hi}] exceed feasible [{f.low}, {f.high}]")
 
 
 def _sample_gene(name: str, lo: float, hi: float, rng: np.random.Generator):

@@ -1,14 +1,18 @@
 import json
 import os
+import re
 
+import numpy as np
 import pytest
 
 from echoforge.audio import AudioBuffer, read_wav, write_wav
-from echoforge.cli import main
+from echoforge.cli import load_corpus_spec, load_run_config, load_tune_config, main
 from echoforge.config import read_config
+from echoforge.stft import N_BINS
 from conftest import music_like, speech_like
 
 FS = 16000
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
 
 @pytest.fixture()
@@ -80,6 +84,21 @@ class TestEnhance:
         assert main(["enhance", mic, ref, out, "--diagnostics"]) == 0
         assert os.path.exists(str(tmp_path / "out.diag.f32"))
 
+    def test_cap_at_unity_key_clamps_the_written_mask(self, wav_pair, tmp_path):
+        mic, ref = wav_pair
+        cfg = tmp_path / "cap.cfg"
+        cfg.write_text("ns.cap_at_unity = true\n")
+
+        def zeta(name, *config):
+            assert main(["enhance", mic, ref, str(tmp_path / f"{name}.wav"),
+                         "--diagnostics", *config]) == 0
+            diag = np.fromfile(tmp_path / f"{name}.diag.f32", dtype="<f4")
+            return diag.reshape(-1, 3, N_BINS)[:, 2]
+
+        assert zeta("plain").max() > 1.0
+        capped = zeta("capped", "--config", str(cfg))
+        assert capped.size and capped.max() <= 1.0
+
 
 class TestMetrics:
     def test_identity_reports_zero(self, wav_pair, capsys):
@@ -148,6 +167,20 @@ class TestCorpusCommand:
         assert "corpus.noise.traffic" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("line", ["corpus.ser_mn = -99", "corpus.sample_rate = 8000"])
+    def test_unknown_key_exit_3_naming_it(self, tmp_path, capsys, line):
+        paths = _write_sources(tmp_path)
+        cfg = tmp_path / "corpus.cfg"
+        cfg.write_text(
+            f"corpus.speech = {paths['sp']}\n"
+            f"corpus.music = {paths['mu']}\n"
+            f"corpus.noise.babble = {paths['no']}\n"
+            f"{line}\n")
+        out = tmp_path / "x"
+        assert main(["corpus", str(cfg), "1", "--out", str(out)]) == 3
+        assert line.split(" = ")[0] in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_spec_exit_2(self, tmp_path):
         assert main(["corpus", str(tmp_path / "nope.cfg"), "1",
                      "--out", str(tmp_path / "x")]) == 2
@@ -185,20 +218,21 @@ class TestTuneCommand:
                      "--config", str(best)]) == 0
 
     def test_corpus_at_8k_exit_2_naming_file(self, tmp_path, capsys):
-        paths = _write_sources(tmp_path, fs=8000)
+        paths = _write_sources(tmp_path)
         corpus_cfg = tmp_path / "corpus.cfg"
         corpus_cfg.write_text(
             f"corpus.speech = {paths['sp']}\n"
             f"corpus.music = {paths['mu']}\n"
-            f"corpus.noise.babble = {paths['no']}\n"
-            "corpus.sample_rate = 8000\n")
+            f"corpus.noise.babble = {paths['no']}\n")
         corpus_dir = tmp_path / "cc"
         assert main(["corpus", str(corpus_cfg), "2", "--out", str(corpus_dir)]) == 0
+        write_wav(corpus_dir / "item0001.ref.wav",
+                  AudioBuffer(music_like(1.0, fs=8000, seed=85), 8000))
         best = tmp_path / "best.cfg"
         code = main(["tune", str(corpus_dir / "manifest.json"), "--out", str(best)])
         assert code == 2
         err = capsys.readouterr().err
-        assert ".wav: expected 16000 Hz, got 8000 Hz" in err
+        assert "item0001.ref.wav: expected 16000 Hz, got 8000 Hz" in err
         assert not best.exists()
 
     def test_bad_bounds_key_exit_3(self, tmp_path, capsys):
@@ -209,3 +243,51 @@ class TestTuneCommand:
         code = main(["tune", str(manifest), "--ga-config", str(ga_cfg),
                      "--out", str(tmp_path / "b.cfg")])
         assert code == 3
+
+    @pytest.mark.parametrize("line,key", [
+        ("ga.populaton = 2", "ga.populaton"),
+        ("ga.jobs = 2", "ga.jobs"),
+        ("bounds.raec1.frame_size.min = 100", "bounds.raec1.frame_size.min"),
+        ("bounds.vad.hangover.min = 2.5", "bounds.vad.hangover.min"),
+    ])
+    def test_bad_ga_config_exit_3_naming_key(self, tmp_path, capsys, line, key):
+        ga_cfg = tmp_path / "ga.cfg"
+        ga_cfg.write_text(line + "\n")
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps({"items": []}))
+        code = main(["tune", str(manifest), "--ga-config", str(ga_cfg),
+                     "--out", str(tmp_path / "b.cfg")])
+        assert code == 3
+        assert key in capsys.readouterr().err
+
+
+def _readme_config_blocks():
+    """The README's fenced config examples, keyed by the reader they are for."""
+    with open(README, encoding="utf-8") as fh:
+        fences = re.findall(r"^```\n(.*?)^```", fh.read(), re.M | re.S)
+    blocks = {}
+    for text in fences:
+        keys = [line.split("=")[0].strip() for line in text.splitlines()
+                if line.split("#")[0].strip()]
+        if not all(re.fullmatch(r"[a-z0-9_.]+", k) for k in keys):
+            continue  # a shell or Python example
+        kind = keys[0].split(".")[0]
+        blocks[kind if kind in ("corpus", "ga") else "run"] = text
+    return blocks
+
+
+class TestReadmeConfigBlocks:
+    """Every key in the README's config examples is one its reader accepts."""
+
+    def test_all_three_blocks_found(self):
+        assert set(_readme_config_blocks()) == {"run", "corpus", "ga"}
+
+    @pytest.mark.parametrize("kind,reader", [
+        ("run", load_run_config),
+        ("corpus", load_corpus_spec),
+        ("ga", load_tune_config),
+    ])
+    def test_block_is_accepted(self, tmp_path, kind, reader):
+        path = tmp_path / f"{kind}.cfg"
+        path.write_text(_readme_config_blocks()[kind])
+        reader(str(path))

@@ -220,26 +220,19 @@ class TestGeneration:
         with pytest.raises(ConfigError, match="shorter than speech"):
             generate_corpus(spec, 1, tmp_path / "bad")
 
-    def test_ir_at_another_rate_rejected(self, tmp_path):
-        fs = 8000
-        sources = {}
-        for seed, (kind, dur) in enumerate((("speech", 1.0), ("music", 4.0),
-                                            ("noise", 4.0))):
-            p = tmp_path / f"{kind}.wav"
-            write_wav(p, AudioBuffer(speech_like(dur, fs=fs, seed=seed), fs))
-            sources[kind] = [str(p)]
+    def test_ir_at_another_rate_rejected(self, corpus_sources, tmp_path):
         ir = np.zeros(64)
         ir[0] = 1.0
-        write_wav(tmp_path / "ir8k.wav", AudioBuffer(ir, fs))
-        write_wav(tmp_path / "ir48k.wav", AudioBuffer(ir, 48000))
-        spec = make_corpus_spec(sources, ir_files=("ir8k.wav", "ir48k.wav"),
-                                sample_rate=fs)
-        with pytest.raises(InputError, match="ir48k.wav"):
-            generate_corpus(spec, 4, tmp_path / "out", base_dir=str(tmp_path))
-        # with every response at the corpus rate the same spec is accepted
-        spec = make_corpus_spec(sources, ir_files=("ir8k.wav",), sample_rate=fs)
+        for fs in (16000, 8000, 48000):
+            write_wav(tmp_path / f"ir{fs}.wav", AudioBuffer(ir, fs))
+        for other in ("ir8000.wav", "ir48000.wav"):
+            spec = make_corpus_spec(corpus_sources, ir_files=("ir16000.wav", other))
+            with pytest.raises(InputError, match=other):
+                generate_corpus(spec, 4, tmp_path / "out", base_dir=str(tmp_path))
+        # with every response at 16 kHz the same spec is accepted
+        spec = make_corpus_spec(corpus_sources, ir_files=("ir16000.wav",))
         generate_corpus(spec, 2, tmp_path / "ok", base_dir=str(tmp_path))
-        assert read_manifest(tmp_path / "ok" / "manifest.json")["sample_rate"] == fs
+        assert read_manifest(tmp_path / "ok" / "manifest.json")["sample_rate"] == FS
 
     def test_unknown_noise_type_rejected(self, corpus_sources):
         with pytest.raises(ConfigError, match="traffic"):

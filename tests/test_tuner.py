@@ -167,6 +167,17 @@ class TestGaRun:
         with pytest.raises(ConfigError, match="raec1.mu"):
             validate_bounds(bounds)
 
+    @pytest.mark.parametrize("name,bound,message", [
+        ("raec1.frame_size", (100, 1024), "power of two"),
+        ("vad.hangover", (2.5, 32), "integer"),
+    ])
+    def test_off_lattice_bound_rejected(self, name, bound, message):
+        # sampling would round such a bound to a gene outside it
+        bounds = default_bounds()
+        bounds[name] = bound
+        with pytest.raises(ConfigError, match=rf"bounds\.{name}\.min: .*{message}"):
+            validate_bounds(bounds)
+
     def test_config_validation(self):
         with pytest.raises(ConfigError):
             GaConfig(population=5, elite=5)
