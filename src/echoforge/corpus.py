@@ -19,6 +19,7 @@ are written, so either can serve as the training target.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 from dataclasses import asdict, dataclass
@@ -284,35 +285,50 @@ def generate_corpus(spec: CorpusSpec, n_items: int, out_dir,
     Writes <id>.mix.wav, <id>.speech.wav (reverberant target),
     <id>.speech_dry.wav, <id>.ref.wav (far-end reference) and a
     manifest.json listing every recipe, all float32 mono WAV. Every
-    source file and impulse response must be at SAMPLE_RATE.
+    source file and impulse response must be at SAMPLE_RATE. The responses
+    are loaded before anything is written; if an item then fails, the files
+    this call wrote are removed, and out_dir too if this call created it.
     """
-    os.makedirs(out_dir, exist_ok=True)
     irs = load_irs(spec.ir_files, base_dir) if spec.ir_files else make_default_irs()
-    recipes = []
-    entries = []
-    for i in range(n_items):
-        recipe, result = _draw_recipe(spec, i, irs, base_dir)
-        paths = {
-            "mix": f"{recipe.item_id}.mix.wav",
-            "speech": f"{recipe.item_id}.speech.wav",
-            "speech_dry": f"{recipe.item_id}.speech_dry.wav",
-            "reference": f"{recipe.item_id}.ref.wav",
+    created = not os.path.isdir(out_dir)
+    os.makedirs(out_dir, exist_ok=True)
+    written = []
+    try:
+        recipes = []
+        entries = []
+        for i in range(n_items):
+            recipe, result = _draw_recipe(spec, i, irs, base_dir)
+            paths = {
+                "mix": f"{recipe.item_id}.mix.wav",
+                "speech": f"{recipe.item_id}.speech.wav",
+                "speech_dry": f"{recipe.item_id}.speech_dry.wav",
+                "reference": f"{recipe.item_id}.ref.wav",
+            }
+            for key, buf in (("mix", result.mix), ("speech", result.speech_reverb),
+                             ("speech_dry", result.speech_dry),
+                             ("reference", result.reference)):
+                written.append(os.path.join(out_dir, paths[key]))
+                write_wav(written[-1], buf)
+            recipes.append(recipe)
+            entries.append({**recipe.to_dict(), "files": paths})
+        manifest = {
+            "sample_rate": SAMPLE_RATE,
+            "master_seed": spec.master_seed,
+            "sigma3": spec.sigma3,
+            "ir_files": list(spec.ir_files),
+            "items": entries,
         }
-        write_wav(os.path.join(out_dir, paths["mix"]), result.mix)
-        write_wav(os.path.join(out_dir, paths["speech"]), result.speech_reverb)
-        write_wav(os.path.join(out_dir, paths["speech_dry"]), result.speech_dry)
-        write_wav(os.path.join(out_dir, paths["reference"]), result.reference)
-        recipes.append(recipe)
-        entries.append({**recipe.to_dict(), "files": paths})
-    manifest = {
-        "sample_rate": SAMPLE_RATE,
-        "master_seed": spec.master_seed,
-        "sigma3": spec.sigma3,
-        "ir_files": list(spec.ir_files),
-        "items": entries,
-    }
-    with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
+        written.append(os.path.join(out_dir, "manifest.json"))
+        with open(written[-1], "w", encoding="utf-8") as fh:
+            json.dump(manifest, fh, indent=2, sort_keys=True)
+    except BaseException:
+        for path in written:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(path)
+        if created:
+            with contextlib.suppress(OSError):
+                os.rmdir(out_dir)
+        raise
     return recipes
 
 

@@ -57,17 +57,19 @@ class VadDecider:
 
 
 def segments_from_flags(flags, hop: int, frame_len: int, total_samples: int):
-    """Merge consecutive active frames into (start, end) sample ranges."""
+    """Merge consecutive active frames into (start, end) sample ranges.
+
+    Ranges are clipped to total_samples. A range that starts at or after
+    it (frames past the end of a mic shorter than its reference) is dropped.
+    """
     segments = []
     start = None
-    for m, active in enumerate(flags):
+    for m, active in enumerate([*flags, False]):
         if active and start is None:
             start = m * hop
         elif not active and start is not None:
             end = min((m - 1) * hop + frame_len, total_samples)
-            segments.append((start, end))
+            if start < end:
+                segments.append((start, end))
             start = None
-    if start is not None:
-        end = min((len(flags) - 1) * hop + frame_len, total_samples)
-        segments.append((start, end))
     return segments

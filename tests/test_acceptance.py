@@ -128,8 +128,8 @@ def test_03_double_talk_robustness():
     misalign = []
     for b in range(len(x) // n):
         sl = slice(b * n, (b + 1) * n)
-        e1, _ = stage1.process_block(x[sl], y[sl])
-        stage2.process_block(x[sl], e1)
+        e1, _ = stage1.process(x[sl], y[sl])
+        stage2.process(x[sl], e1)
         # both stages filter the same reference, so their responses add
         r1, r2 = stage1.equivalent_response(), stage2.equivalent_response()
         err = np.zeros(max(len(r1), len(r2)))

@@ -10,6 +10,7 @@ import pathlib
 import numpy as np
 
 from echoforge import AudioBuffer, pipeline
+from echoforge.params import build_pipeline_params
 from conftest import music_like, speech_like
 
 SPANS_PY = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -51,6 +52,10 @@ def test_traced_stream_reaches_every_stage():
             "rpe.update_low", "rpe.combine", "npe.update",
             "suppressor.process_frame", "vad.statistic", "vad.decide",
             "vad.segments"} <= names
+    # one raec.block span per block of each stage: the per-block traced unit
+    params = build_pipeline_params()
+    blocks = sum(-(-len(mic) // p.frame_size) for p in (params.raec1, params.raec2))
+    assert sum(s.name == "raec.block" for s in tracer.spans) == blocks
     # the tracer reads the frame count of synthesize from its first argument
     n_frames = -(-len(mic) // 256)
     assert [s.value for s in tracer.spans if s.name == "stft.synthesize"] == [n_frames]

@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+from echoforge import corpus as corpusmod
 from echoforge.audio import AudioBuffer, read_wav, write_wav
 from echoforge.cli import load_corpus_spec, load_run_config, load_tune_config, main
 from echoforge.config import read_config
@@ -153,6 +154,43 @@ class TestCorpusCommand:
             "corpus.irs = ir48k.wav\n")
         assert main(["corpus", str(cfg), "1", "--out", str(tmp_path / "x")]) == 2
         assert "ir48k.wav" in capsys.readouterr().err
+        # the responses are loaded before the output directory is made
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("existing", [False, True], ids=["new-dir", "existing-dir"])
+    def test_failed_item_removes_only_what_it_wrote(self, tmp_path, capsys,
+                                                     monkeypatch, existing):
+        # At seed 3, item 0 draws the 16 kHz speech file and item 1 the
+        # 48 kHz one, so item 0's files are written before item 1 fails.
+        paths = _write_sources(tmp_path)
+        write_wav(tmp_path / "sp48k.wav", AudioBuffer(np.zeros(48000), 48000))
+        cfg = tmp_path / "corpus.cfg"
+        cfg.write_text(
+            f"corpus.speech = {paths['sp']}, sp48k.wav\n"
+            f"corpus.music = {paths['mu']}\n"
+            f"corpus.noise.babble = {paths['no']}\n"
+            "corpus.seed = 3\n")
+        out = tmp_path / "x"
+        if existing:
+            out.mkdir()
+            (out / "notes.txt").write_text("kept")
+        written = []
+        write = corpusmod.write_wav
+
+        def spy(path, buffer):
+            written.append(path)
+            return write(path, buffer)
+
+        monkeypatch.setattr(corpusmod, "write_wav", spy)
+        assert main(["corpus", str(cfg), "2", "--out", str(out)]) == 2
+        assert "sp48k.wav" in capsys.readouterr().err
+        assert len(written) == 4
+        assert not any(os.path.exists(p) for p in written)
+        if existing:
+            assert sorted(os.listdir(out)) == ["notes.txt"]
+            assert (out / "notes.txt").read_text() == "kept"
+        else:
+            assert not out.exists()
 
     def test_unknown_noise_type_exit_3(self, tmp_path, capsys):
         paths = _write_sources(tmp_path)

@@ -112,7 +112,7 @@ class TestRobustControls:
     def test_scale_stays_positive_on_silence(self):
         aec = Raec(RaecParams())
         for _ in range(50):
-            aec.process_block(np.zeros(256), np.zeros(256))
+            aec.process(np.zeros(256), np.zeros(256))
         assert aec.scale > 0
 
 
@@ -120,14 +120,14 @@ class TestContracts:
     def test_block_length_mismatch(self):
         aec = Raec(RaecParams())
         with pytest.raises(InputError):
-            aec.process_block(np.zeros(128), np.zeros(256))
+            aec.process(np.zeros(128), np.zeros(256))
 
     def test_nonfinite_input(self):
         aec = Raec(RaecParams())
         bad = np.zeros(256)
         bad[0] = np.inf
         with pytest.raises(InputError):
-            aec.process_block(bad, np.zeros(256))
+            aec.process(bad, np.zeros(256))
 
     def test_param_validation(self):
         with pytest.raises(ConfigError):
@@ -278,7 +278,7 @@ class TestExactUpdates:
         spectra = np.zeros_like(aec.x_spectra)
         power = np.zeros_like(aec.x_power)
         for xb, yb in _blocks(n, kinds, seed):
-            aec.process_block(xb, yb)
+            aec.process(xb, yb)
             windows = np.concatenate((windows[n:], xb))
             spectra[1:] = spectra[:-1]
             spectra[0] = np.fft.rfft(windows)
@@ -299,7 +299,7 @@ class TestExactUpdates:
         aec = Raec(p)
         ref = PlainRaec(p)
         for xb, yb in _blocks(p.frame_size, ["echo"] * 24 + kinds, seed):
-            e, d_hat = aec.process_block(xb, yb)
+            e, d_hat = aec.process(xb, yb)
             e_ref, d_hat_ref = ref.process_block(xb, yb)
             assert np.array_equal(e, e_ref)
             assert np.array_equal(d_hat, d_hat_ref)
@@ -317,6 +317,55 @@ class TestExactUpdates:
         y = np.repeat([1.0, 2.0], n // 2)
         aec = Raec(p)
         ref = PlainRaec(p)
-        aec.process_block(np.zeros(n), y)
+        aec.process(np.zeros(n), y)
         ref.process_block(np.zeros(n), y)
         assert aec.scale == ref.scale
+
+    @given(p=raec_shapes, kinds=block_kinds, n_blocks=st.integers(1, 2 * raec.CHUNK + 2),
+           split=st.sampled_from([1, raec.CHUNK - 1, raec.CHUNK, raec.CHUNK + 1, None]),
+           seed=st.integers(0, 2**16))
+    @settings(max_examples=25, deadline=None)
+    def test_chunked_process_matches_reference(self, p, kinds, n_blocks, split, seed):
+        # Calls of `split` blocks (None: the whole signal in one call) cross
+        # the far-end table's chunk boundaries at every offset; each block's
+        # outputs and the state after each call must equal the block-by-block
+        # reference.
+        n = p.frame_size
+        pattern = ["echo"] * 24 + kinds
+        blocks = list(_blocks(n, [pattern[b % len(pattern)] for b in range(n_blocks)], seed))
+        x = np.concatenate([xb for xb, _ in blocks])
+        y = np.concatenate([yb for _, yb in blocks])
+        step = split or n_blocks
+        aec = Raec(p)
+        ref = PlainRaec(p)
+        for first in range(0, n_blocks, step):
+            sl = slice(first * n, min(first + step, n_blocks) * n)
+            e, d_hat = aec.process(x[sl], y[sl])
+            outs = [ref.process_block(xb, yb) for xb, yb in blocks[first:first + step]]
+            assert np.array_equal(e, np.concatenate([o[0] for o in outs]))
+            assert np.array_equal(d_hat, np.concatenate([o[1] for o in outs]))
+            assert aec.scale == ref.scale
+            assert aec.step_factor == ref.step_factor
+            assert np.array_equal(aec.weights, ref.weights)
+            assert np.array_equal(aec.err_cross, ref.err_cross)
+
+    def test_far_end_table_bounded_on_a_long_stream(self, monkeypatch):
+        # Every block of a 60 s stream reads its far-end rows from a table
+        # of at most CHUNK + M - 1 rows, whatever the stream length.
+        p = RaecParams()
+        tables = []
+        block = Raec.process_block
+
+        def spy(self, y_block, norm):
+            tables.append((self.x_spectra.base.shape[0], self.x_conj.base.shape[0],
+                           self.x_power.base.shape[0], norm.base.shape[0]))
+            return block(self, y_block, norm)
+
+        monkeypatch.setattr(Raec, "process_block", spy)
+        rng = np.random.default_rng(17)
+        x = rng.standard_normal(60 * FS) * 0.1
+        run_blocks(Raec(p), x, 0.5 * x)
+        rows = raec.CHUNK + p.partitions - 1
+        assert len(tables) == 60 * FS // p.frame_size
+        assert max(max(t[:3]) for t in tables) <= rows
+        assert max(t[3] for t in tables) <= raec.CHUNK

@@ -77,6 +77,12 @@ class TestSegments:
                                    total_samples=600)
         assert segs == [(0, 600)]
 
+    def test_ranges_past_the_end_dropped(self):
+        # frames past a short mic's end, as when the reference is longer
+        segs = segments_from_flags([True, False, True, True], hop=256, frame_len=512,
+                                   total_samples=300)
+        assert segs == [(0, 300)]
+
 
 class TestDetectionQuality:
     def test_hit_and_false_alarm_rates_on_bursty_speech(self):
