@@ -166,6 +166,10 @@ def cmd_tune(args) -> int:
 def cmd_metrics(args) -> int:
     a = read_wav(args.signal_a)
     b = read_wav(args.signal_b)
+    if a.sample_rate != b.sample_rate:
+        raise InputError(
+            f"sample rate mismatch: {args.signal_a} is at {a.sample_rate} Hz, "
+            f"{args.signal_b} at {b.sample_rate} Hz")
     if len(a) != len(b):
         raise InputError(
             f"length mismatch: {args.signal_a} has {len(a)}, "

@@ -341,5 +341,21 @@ def load_irs(ir_files, base_dir: str = ".") -> list:
 
 
 def read_manifest(path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    """Read a corpus manifest.json. InputError naming the path if it is not
+    JSON, has no `items` list, or an item lacks the `files` paths of its
+    mix, speech and reference."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            manifest = json.load(fh)
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise InputError(f"{path}: not a JSON manifest ({exc})") from exc
+    items = manifest.get("items") if isinstance(manifest, dict) else None
+    if not isinstance(items, list):
+        raise InputError(f"{path}: no 'items' list")
+    for i, entry in enumerate(items):
+        files = entry.get("files") if isinstance(entry, dict) else None
+        if not (isinstance(files, dict) and all(
+                isinstance(files.get(key), str) for key in ("mix", "speech", "reference"))):
+            raise InputError(f"{path}: item {i} has no 'files' with mix, speech "
+                             "and reference paths")
+    return manifest

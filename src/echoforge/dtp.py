@@ -24,7 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, InputError
+from .errors import ConfigError
+from .stft import N_BINS
 
 COHERENCE_EPS = 1e-10
 SILENCE_POWER = 1e-12
@@ -52,9 +53,9 @@ class DtpParams:
             v = getattr(self, name)
             if not 0.0 <= v < 1.0:
                 raise ConfigError(f"{name} must be in [0, 1), got {v}")
-        if not 0 <= self.k_begin < self.k_end:
-            raise ConfigError(
-                f"need 0 <= k_begin < k_end, got [{self.k_begin}, {self.k_end}]")
+        if not 0 <= self.k_begin < self.k_end <= N_BINS - 1:
+            raise ConfigError(f"need 0 <= k_begin < k_end <= {N_BINS - 1}, "
+                              f"got [{self.k_begin}, {self.k_end}]")
         if self.frame_duration <= 0 or self.tau <= 0:
             raise ConfigError("frame_duration and tau must be positive")
 
@@ -66,29 +67,19 @@ class DtpParams:
 class DtpEstimator:
     """Sequential per-stream state; do not share across streams."""
 
-    def __init__(self, params: DtpParams, n_bins: int):
-        if params.k_end > n_bins - 1:
-            raise ConfigError(
-                f"k_end {params.k_end} exceeds last bin {n_bins - 1}")
+    def __init__(self, params: DtpParams):
         self.params = params
-        self.n_bins = n_bins
         self.p_dt = 0.5
-        self.psd_dd = np.zeros(n_bins)
-        self.psd_yy = np.zeros(n_bins)
-        self.psd_dy = np.zeros(n_bins, dtype=complex)
-        self.coherence = np.zeros(n_bins)
+        self.psd_dd = np.zeros(N_BINS)
+        self.psd_yy = np.zeros(N_BINS)
+        self.psd_dy = np.zeros(N_BINS, dtype=complex)
         self._hysteresis = False
         self._pending = 0
 
-    def update(self, d_hat_frame: np.ndarray, y_frame: np.ndarray) -> float:
-        """Consume one frame pair and return the double-talk probability."""
+    def update(self, d: np.ndarray, y: np.ndarray) -> float:
+        """Consume one (N_BINS,) frame pair of echo estimate and mic, and
+        return the double-talk probability."""
         p = self.params
-        d = np.asarray(d_hat_frame)
-        y = np.asarray(y_frame)
-        if d.shape != (self.n_bins,) or y.shape != (self.n_bins,):
-            raise InputError(
-                f"expected frames of shape ({self.n_bins},), got {d.shape}, {y.shape}")
-
         a = p.alpha
         self.psd_dd = a * self.psd_dd + (1 - a) * np.abs(d) ** 2
         self.psd_yy = a * self.psd_yy + (1 - a) * np.abs(y) ** 2
@@ -99,9 +90,9 @@ class DtpEstimator:
                 and np.mean(self.psd_yy[band]) < SILENCE_POWER):
             return self.p_dt  # silence is uninformative
 
-        self.coherence = np.abs(self.psd_dy) ** 2 / (
+        coherence = np.abs(self.psd_dy) ** 2 / (
             self.psd_dd * self.psd_yy + COHERENCE_EPS)
-        mean_coh = float(np.mean(self.coherence[band]))
+        mean_coh = float(np.mean(coherence[band]))
 
         likelihood = 1.0 - min(max(mean_coh, 0.0), 1.0)
 

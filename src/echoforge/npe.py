@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, InputError
+from .errors import ConfigError
+from .stft import N_BINS
 
 NOISE_FLOOR = 1e-12
 COLD_START_FRAMES = 10
@@ -45,21 +46,16 @@ class NoisePowerEstimator:
     straight into the estimate before the probability recursion engages.
     """
 
-    def __init__(self, params: NpeParams, n_bins: int):
+    def __init__(self, params: NpeParams):
         self.params = params
-        self.n_bins = n_bins
-        self.smoothed_p = np.zeros(n_bins)
-        self.noise_power = np.full(n_bins, NOISE_FLOOR)
+        self.smoothed_p = np.zeros(N_BINS)
+        self.noise_power = np.full(N_BINS, NOISE_FLOOR)
         self._warmup_left = COLD_START_FRAMES
-        self._warmup_acc = np.zeros(n_bins)
+        self._warmup_acc = np.zeros(N_BINS)
         self._warmup_count = 0
 
     def update(self, e_frame: np.ndarray) -> np.ndarray:
-        """Consume one spectral frame, return the per-bin noise power."""
-        e_frame = np.asarray(e_frame)
-        if e_frame.shape != (self.n_bins,):
-            raise InputError(
-                f"expected frame of shape ({self.n_bins},), got {e_frame.shape}")
+        """Consume one (N_BINS,) spectral frame, return the per-bin noise power."""
         periodogram = np.abs(e_frame) ** 2
 
         if self._warmup_left > 0:

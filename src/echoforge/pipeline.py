@@ -28,7 +28,7 @@ from .npe import NoisePowerEstimator
 from .params import PipelineParams, build_pipeline_params
 from .raec import cascade_run
 from .rpe import ResidualPowerEstimator, combine_residual_power
-from .stft import FRAME_LEN, HOP, N_BINS, SAMPLE_RATE, analyze, synthesize
+from .stft import N_BINS, SAMPLE_RATE, analyze, synthesize
 from .suppressor import Suppressor
 from .vad import VadDecider, segments_from_flags, vad_statistic
 
@@ -86,10 +86,10 @@ def process_stream(mic: AudioBuffer, reference: AudioBuffer,
     spec_d = analyze(AudioBuffer(d_hat))
     n_frames = len(spec_e)
 
-    dtp = DtpEstimator(params.dtp, N_BINS)
-    rpe = ResidualPowerEstimator(params.rpe, N_BINS)
-    npe = NoisePowerEstimator(params.npe, N_BINS)
-    suppressor = Suppressor(params.suppressor, N_BINS)
+    dtp = DtpEstimator(params.dtp)
+    rpe = ResidualPowerEstimator(params.rpe)
+    npe = NoisePowerEstimator(params.npe)
+    suppressor = Suppressor(params.suppressor)
     vad = VadDecider(params.vad)
 
     out_frames = np.empty_like(spec_e)
@@ -123,7 +123,7 @@ def process_stream(mic: AudioBuffer, reference: AudioBuffer,
             diag.vad_statistic[m] = statistic
 
     enhanced = synthesize(out_frames, length=out_len)
-    segments = segments_from_flags(flags, HOP, FRAME_LEN, out_len)
+    segments = segments_from_flags(flags, out_len)
     return EnhanceResult(enhanced=enhanced, segments=segments, diagnostics=diag)
 
 

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, InputError
+from .errors import ConfigError
+from .stft import N_BINS
 
 COUPLING_REG = 1e-8
 
@@ -47,12 +48,12 @@ class _CouplingTracker:
     smoothing every row anew.
     """
 
-    def __init__(self, partitions: int, alpha: float, n_bins: int):
+    def __init__(self, partitions: int, alpha: float):
         self.alpha = alpha
-        self.x_conj = np.zeros((partitions, n_bins), dtype=complex)
-        self.x_power = np.zeros((partitions, n_bins))
-        self.cross = np.zeros((partitions, n_bins), dtype=complex)
-        self.auto = np.zeros((partitions, n_bins))
+        self.x_conj = np.zeros((partitions, N_BINS), dtype=complex)
+        self.x_power = np.zeros((partitions, N_BINS))
+        self.cross = np.zeros((partitions, N_BINS), dtype=complex)
+        self.auto = np.zeros((partitions, N_BINS))
 
     def update(self, target_frame: np.ndarray, x_frame: np.ndarray) -> np.ndarray:
         for history in (self.x_conj, self.x_power, self.auto):
@@ -70,42 +71,25 @@ class _CouplingTracker:
 class ResidualPowerEstimator:
     """Sequential per-stream state holding both coupling trackers."""
 
-    def __init__(self, params: RpeParams, n_bins: int):
+    def __init__(self, params: RpeParams):
         self.params = params
-        self.n_bins = n_bins
-        self._high = _CouplingTracker(params.partitions_high, params.alpha_high, n_bins)
-        self._low = _CouplingTracker(params.partitions_low, params.alpha_low, n_bins)
-        self.power_high = np.zeros(n_bins)
-        self.power_low = np.zeros(n_bins)
-
-    def _check(self, frame: np.ndarray) -> np.ndarray:
-        frame = np.asarray(frame)
-        if frame.shape != (self.n_bins,):
-            raise InputError(f"expected frame of shape ({self.n_bins},), got {frame.shape}")
-        return frame
+        self._high = _CouplingTracker(params.partitions_high, params.alpha_high)
+        self._low = _CouplingTracker(params.partitions_low, params.alpha_low)
 
     def update_high(self, y_frame: np.ndarray, x_frame: np.ndarray) -> np.ndarray:
         """Track the mic/reference coupling; returns the high power estimate."""
-        self.power_high = self._high.update(self._check(y_frame), self._check(x_frame))
-        return self.power_high
+        return self._high.update(y_frame, x_frame)
 
     def update_low(self, e_frame: np.ndarray, x_frame: np.ndarray) -> np.ndarray:
         """Track the error/reference coupling; returns the low power estimate."""
-        self.power_low = self._low.update(self._check(e_frame), self._check(x_frame))
-        return self.power_low
+        return self._low.update(e_frame, x_frame)
 
 
 def combine_residual_power(power_high: np.ndarray, power_low: np.ndarray,
                            p_dt: float) -> np.ndarray:
-    """Blend high and low estimates by the double-talk probability."""
-    if not 0.0 <= p_dt <= 1.0:
-        raise InputError(f"p_dt must be in [0, 1], got {p_dt}")
-    high = np.asarray(power_high, dtype=float)
-    low = np.asarray(power_low, dtype=float)
-    if high.shape != low.shape:
-        raise InputError(f"shape mismatch: {high.shape} vs {low.shape}")
-    if p_dt == 0.0:
-        return high.copy()
-    if p_dt == 1.0:
-        return low.copy()
-    return (1.0 - p_dt) * high + p_dt * low
+    """Blend high and low estimates by the double-talk probability.
+
+    For finite non-negative powers, p_dt = 0 gives power_high and p_dt = 1
+    gives power_low bit for bit.
+    """
+    return (1.0 - p_dt) * power_high + p_dt * power_low

@@ -15,7 +15,8 @@ weight. The high branch exceeds unity for mask_alpha > 0 on purpose
 (recognition front-end, not playback); cap_at_unity clamps it for
 listening use.
 
-The exponential integral E1 inside the LSA gain is scipy.special.exp1.
+The exponential integral E1 inside the LSA gain is called as
+scipy.special.exp1 directly: its argument is floored at V_FLOOR > 0.
 """
 
 from __future__ import annotations
@@ -25,7 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import exp1
 
-from .errors import ConfigError, InputError
+from .errors import ConfigError
+from .stft import N_BINS
 
 POWER_FLOOR = 1e-12
 V_FLOOR = 1e-10
@@ -50,18 +52,6 @@ class SuppressorParams:
                 f"need theta1 < theta2, got theta1={self.theta1}, theta2={self.theta2}")
         if self.mask_alpha < 0.0:
             raise ConfigError(f"mask_alpha must be >= 0, got {self.mask_alpha}")
-
-
-def exp_integral_e1(v):
-    """E1(v) = integral of exp(-t)/t from v to infinity, for v > 0.
-
-    Evaluated by scipy.special.exp1; 0-d input gives a scalar, N-d input
-    keeps its shape.
-    """
-    v = np.asarray(v, dtype=float)
-    if np.any(v <= 0):
-        raise InputError("E1 requires positive arguments")
-    return exp1(v)
 
 
 def posterior_snr(error_power, noise_power, residual_power) -> np.ndarray:
@@ -95,7 +85,7 @@ def lsa_gain(xi, gamma) -> np.ndarray:
     gamma = np.asarray(gamma, dtype=float)
     prefactor = xi / (1.0 + xi)
     v = np.maximum(prefactor * gamma, V_FLOOR)
-    return prefactor * np.exp(0.5 * exp_integral_e1(v))
+    return prefactor * np.exp(0.5 * exp1(v))
 
 
 def mask_gain(xi, g_lsa, params: SuppressorParams) -> np.ndarray:
@@ -112,39 +102,26 @@ def mask_gain(xi, g_lsa, params: SuppressorParams) -> np.ndarray:
     return zeta
 
 
-def apply_mask(zeta, e_frame) -> np.ndarray:
-    """Masked output spectrum: per-bin real gain, phase preserved."""
-    zeta = np.asarray(zeta, dtype=float)
-    e_frame = np.asarray(e_frame)
-    if zeta.shape != e_frame.shape:
-        raise InputError(f"shape mismatch: {zeta.shape} vs {e_frame.shape}")
-    return zeta * e_frame
-
-
 class Suppressor:
     """Holds the previous clean-speech power; sequential per stream."""
 
-    def __init__(self, params: SuppressorParams, n_bins: int):
+    def __init__(self, params: SuppressorParams):
         self.params = params
-        self.n_bins = n_bins
-        self.prev_clean_power = np.zeros(n_bins)
+        self.prev_clean_power = np.zeros(N_BINS)
 
     def process_frame(self, e_frame: np.ndarray, noise_power: np.ndarray,
                       residual_power: np.ndarray):
-        """One frame of combined suppression.
+        """One (N_BINS,) frame of combined suppression.
 
-        Returns (s_hat, xi, gamma, zeta); updates the clean-speech memory.
+        Returns (s_hat, xi, gamma, zeta), where s_hat = zeta * e_frame (a
+        real gain per bin, phase kept); updates the clean-speech memory.
         """
-        e_frame = np.asarray(e_frame)
-        if e_frame.shape != (self.n_bins,):
-            raise InputError(
-                f"expected frame of shape ({self.n_bins},), got {e_frame.shape}")
         error_power = np.abs(e_frame) ** 2
         gamma = posterior_snr(error_power, noise_power, residual_power)
         xi = dd_prior_snr(self.prev_clean_power, gamma, noise_power,
                           residual_power, self.params.alpha_dd)
         g = lsa_gain(xi, gamma)
         zeta = mask_gain(xi, g, self.params)
-        s_hat = apply_mask(zeta, e_frame)
+        s_hat = zeta * e_frame
         self.prev_clean_power = np.abs(s_hat) ** 2
         return s_hat, xi, gamma, zeta

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, InputError
+from .errors import ConfigError
+from .stft import FRAME_LEN, HOP
 
 
 @dataclass(frozen=True)
@@ -31,10 +32,6 @@ class VadParams:
 
 def vad_statistic(xi, gamma) -> float:
     """Frame log-likelihood-ratio statistic; additive over bins."""
-    xi = np.asarray(xi, dtype=float)
-    gamma = np.asarray(gamma, dtype=float)
-    if xi.shape != gamma.shape:
-        raise InputError(f"shape mismatch: {xi.shape} vs {gamma.shape}")
     return float(np.sum(gamma * xi / (1.0 + xi) - np.log1p(xi)))
 
 
@@ -56,8 +53,9 @@ class VadDecider:
         return False
 
 
-def segments_from_flags(flags, hop: int, frame_len: int, total_samples: int):
-    """Merge consecutive active frames into (start, end) sample ranges.
+def segments_from_flags(flags, total_samples: int):
+    """Merge consecutive active frames of the stft clock into (start, end)
+    sample ranges.
 
     Ranges are clipped to total_samples. A range that starts at or after
     it (frames past the end of a mic shorter than its reference) is dropped.
@@ -66,9 +64,9 @@ def segments_from_flags(flags, hop: int, frame_len: int, total_samples: int):
     start = None
     for m, active in enumerate([*flags, False]):
         if active and start is None:
-            start = m * hop
+            start = m * HOP
         elif not active and start is not None:
-            end = min((m - 1) * hop + frame_len, total_samples)
+            end = min((m - 1) * HOP + FRAME_LEN, total_samples)
             if start < end:
                 segments.append((start, end))
             start = None

@@ -23,7 +23,7 @@ from echoforge.params import default_params
 from echoforge.pipeline import process_stream
 from echoforge.raec import Raec, RaecParams, cascade_run, run_blocks
 from echoforge.rpe import combine_residual_power
-from echoforge.stft import FRAME_LEN, HOP, N_BINS, analyze, synthesize
+from echoforge.stft import FRAME_LEN, HOP, analyze, synthesize
 from echoforge.suppressor import SuppressorParams, lsa_gain, mask_gain
 from echoforge.tuner import (GaConfig, default_bounds, ga_run,
                              load_corpus_items, mutate,
@@ -162,7 +162,7 @@ def test_04_dtp_discrimination():
 
     spec_d = analyze(AudioBuffer(echo, FS))
     spec_y = analyze(AudioBuffer(mic, FS))
-    est = DtpEstimator(DtpParams(), N_BINS)
+    est = DtpEstimator(DtpParams())
     scores = np.array([est.update(spec_d[m], spec_y[m])
                        for m in range(spec_d.shape[0])])
     labels = np.array([
@@ -227,7 +227,7 @@ def test_08_npe_tracking():
     rng = np.random.default_rng(1)
     noise = rng.standard_normal(5 * FS) * 0.1
     frames = analyze(AudioBuffer(noise, FS))
-    est = NoisePowerEstimator(NpeParams(), N_BINS)
+    est = NoisePowerEstimator(NpeParams())
     for m in range(frames.shape[0]):
         tracked = est.update(frames[m])
     welch = np.mean(np.abs(frames[50:]) ** 2, axis=0)
@@ -239,7 +239,7 @@ def test_08_npe_tracking():
     noise2 *= 0.1 * 10 ** (-5 / 20) / np.sqrt(np.mean(noise2**2))
     noisy = analyze(AudioBuffer(speech + noise2, FS))
     clean_noise = analyze(AudioBuffer(noise2, FS))
-    est = NoisePowerEstimator(NpeParams(), N_BINS)
+    est = NoisePowerEstimator(NpeParams())
     for m in range(noisy.shape[0]):
         tracked = est.update(noisy[m])
     true_noise = np.mean(np.abs(clean_noise[50:]) ** 2, axis=0)

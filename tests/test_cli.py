@@ -114,6 +114,18 @@ class TestMetrics:
         write_wav(short, AudioBuffer(speech_like(0.5, seed=82)))
         assert main(["metrics", mic, str(short)]) == 2
 
+    def test_rate_mismatch_exit_2_naming_both(self, tmp_path, capsys):
+        # same length, so only the rate tells them apart
+        samples = speech_like(0.5, seed=83, rms=0.05)
+        a, b = tmp_path / "a16k.wav", tmp_path / "b48k.wav"
+        write_wav(a, AudioBuffer(samples, FS))
+        write_wav(b, AudioBuffer(samples, 48000))
+        assert main(["metrics", str(a), str(b)]) == 2
+        captured = capsys.readouterr()
+        assert "erle_db_overall" not in captured.out
+        for named in (str(a), "16000 Hz", str(b), "48000 Hz"):
+            assert named in captured.err
+
 
 def _write_sources(tmp_path, fs=FS):
     paths = {}
@@ -254,6 +266,16 @@ class TestTuneCommand:
         mic, ref = wav_pair
         assert main(["enhance", mic, ref, str(tmp_path / "o.wav"),
                      "--config", str(best)]) == 0
+
+    @pytest.mark.parametrize("text", ["not json {", "{}", '{"items": {}}',
+                                      '{"items": [{"item_id": 0}]}',
+                                      '{"items": [{"files": {"mix": "m.wav"}}]}'])
+    def test_malformed_manifest_exit_2_naming_path(self, tmp_path, capsys, text):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(text)
+        assert main(["tune", str(manifest), "--out", str(tmp_path / "best.cfg")]) == 2
+        assert str(manifest) in capsys.readouterr().err
+        assert not (tmp_path / "best.cfg").exists()
 
     def test_corpus_at_8k_exit_2_naming_file(self, tmp_path, capsys):
         paths = _write_sources(tmp_path)

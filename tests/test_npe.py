@@ -2,13 +2,12 @@ import numpy as np
 import pytest
 
 from echoforge.audio import AudioBuffer
-from echoforge.errors import ConfigError, InputError
+from echoforge.errors import ConfigError
 from echoforge.npe import COLD_START_FRAMES, NOISE_FLOOR, NoisePowerEstimator, NpeParams
-from echoforge.stft import analyze
+from echoforge.stft import N_BINS, analyze
 from conftest import speech_like
 
 FS = 16000
-N_BINS = 257
 
 
 class TestRecursion:
@@ -17,7 +16,7 @@ class TestRecursion:
         # so the exponential average must return its input; the cold start
         # sets the power to the level first
         level = 0.37
-        est = NoisePowerEstimator(NpeParams(), N_BINS)
+        est = NoisePowerEstimator(NpeParams())
         frame = np.full(N_BINS, np.sqrt(level), dtype=complex)
         for _ in range(COLD_START_FRAMES):
             est.update(frame)
@@ -26,7 +25,7 @@ class TestRecursion:
             assert np.allclose(out, level, atol=1e-9)
 
     def test_zero_input_decays_to_floor(self):
-        est = NoisePowerEstimator(NpeParams(), N_BINS)
+        est = NoisePowerEstimator(NpeParams())
         for _ in range(COLD_START_FRAMES):
             out = est.update(np.ones(N_BINS, complex))
         assert np.allclose(out, 1.0)
@@ -35,16 +34,14 @@ class TestRecursion:
         assert np.all(out == NOISE_FLOOR)
 
     def test_cold_start_averages_first_frames(self):
-        est = NoisePowerEstimator(NpeParams(), N_BINS)
+        est = NoisePowerEstimator(NpeParams())
         rng = np.random.default_rng(0)
         frames = rng.standard_normal((10, N_BINS)) + 1j * rng.standard_normal((10, N_BINS))
         for m in range(10):
             out = est.update(frames[m])
         assert np.allclose(out, np.mean(np.abs(frames) ** 2, axis=0))
 
-    def test_shape_and_params_validated(self):
-        with pytest.raises(InputError):
-            NoisePowerEstimator(NpeParams(), N_BINS).update(np.zeros(5, complex))
+    def test_params_validated(self):
         with pytest.raises(ConfigError):
             NpeParams(xi_h1=0.0)
         with pytest.raises(ConfigError):
@@ -53,7 +50,7 @@ class TestRecursion:
 
 def _track(signal, n_skip=50):
     frames = analyze(AudioBuffer(signal, FS))
-    est = NoisePowerEstimator(NpeParams(), N_BINS)
+    est = NoisePowerEstimator(NpeParams())
     for m in range(frames.shape[0]):
         out = est.update(frames[m])
     welch = np.mean(np.abs(frames[n_skip:]) ** 2, axis=0)
@@ -75,7 +72,7 @@ class TestTracking:
         noise *= 0.1 * 10 ** (-5 / 20) / np.sqrt(np.mean(noise**2))  # 5 dB SNR
         noisy_frames = analyze(AudioBuffer(speech + noise, FS))
         noise_frames = analyze(AudioBuffer(noise, FS))
-        est = NoisePowerEstimator(NpeParams(), N_BINS)
+        est = NoisePowerEstimator(NpeParams())
         for m in range(noisy_frames.shape[0]):
             tracked = est.update(noisy_frames[m])
         true_noise = np.mean(np.abs(noise_frames[50:]) ** 2, axis=0)
@@ -91,7 +88,7 @@ class TestTracking:
         assert np.allclose(np.mean(ratio), 9.0, rtol=0.01)
 
     def test_never_nan_and_floored(self):
-        est = NoisePowerEstimator(NpeParams(), N_BINS)
+        est = NoisePowerEstimator(NpeParams())
         rng = np.random.default_rng(5)
         for i in range(100):
             frame = (rng.standard_normal(N_BINS) * 10.0 ** rng.integers(-9, 9)

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -131,6 +134,19 @@ def _edge_signal(kind, n, seed):
     if kind == "clipped":  # full scale, hard-clipped
         return np.clip(4.0 * rng.standard_normal(n), -1.0, 1.0)
     return 0.1 * rng.standard_normal(n)
+
+
+class TestImportCost:
+    def test_import_does_not_load_scipy_signal(self):
+        # scipy.signal roughly doubles the time and memory of `import
+        # echoforge`, and the benchmark imports it before timing anything
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        code = "import sys, echoforge; print('scipy.signal' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True, timeout=120)
+        assert out.stdout.strip() == "False"
 
 
 class TestEdgeInputs:

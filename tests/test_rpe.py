@@ -3,11 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from echoforge.errors import ConfigError, InputError
+from echoforge.errors import ConfigError
 from echoforge.rpe import (COUPLING_REG, ResidualPowerEstimator, RpeParams,
                            _CouplingTracker, combine_residual_power)
-
-N_BINS = 129
+from echoforge.stft import N_BINS
 
 
 def _noise(rng):
@@ -16,7 +15,7 @@ def _noise(rng):
 
 class TestCouplingTrackers:
     def test_zero_reference_gives_zero_power(self):
-        est = ResidualPowerEstimator(RpeParams(), N_BINS)
+        est = ResidualPowerEstimator(RpeParams())
         rng = np.random.default_rng(0)
         for _ in range(50):
             high = est.update_high(_noise(rng), np.zeros(N_BINS, complex))
@@ -29,7 +28,7 @@ class TestCouplingTrackers:
         # so the tracked power converges to |c|^2 |X|^2
         c = 0.35
         params = RpeParams(partitions_high=1, partitions_low=1)
-        est = ResidualPowerEstimator(params, N_BINS)
+        est = ResidualPowerEstimator(params)
         rng = np.random.default_rng(1)
         for _ in range(300):
             x = _noise(rng)
@@ -43,7 +42,7 @@ class TestCouplingTrackers:
         # cross-PSD of independent signals shrinks as the smoothing grows
         params = RpeParams(partitions_high=1, partitions_low=1,
                            alpha_high=0.99, alpha_low=0.99)
-        est = ResidualPowerEstimator(params, N_BINS)
+        est = ResidualPowerEstimator(params)
         rng = np.random.default_rng(2)
         powers = []
         y_powers = []
@@ -60,7 +59,7 @@ class TestCouplingTrackers:
         # E carries 20 dB less of the coupled component than Y
         rng = np.random.default_rng(3)
         transfer = _noise(rng)
-        est = ResidualPowerEstimator(RpeParams(), N_BINS)
+        est = ResidualPowerEstimator(RpeParams())
         for _ in range(200):
             x = _noise(rng)
             y = transfer * x + 0.05 * _noise(rng)
@@ -68,11 +67,6 @@ class TestCouplingTrackers:
             high = est.update_high(y, x)
             low = est.update_low(e, x)
         assert np.mean(low <= high) >= 0.9
-
-    def test_shape_mismatch_rejected(self):
-        est = ResidualPowerEstimator(RpeParams(), N_BINS)
-        with pytest.raises(InputError):
-            est.update_high(np.zeros(3, complex), np.zeros(N_BINS, complex))
 
     def test_param_validation(self):
         with pytest.raises(ConfigError):
@@ -83,24 +77,22 @@ class TestCouplingTrackers:
 
 class TestExactUpdates:
     @given(partitions=st.integers(1, 8), alpha=st.floats(0.0, 0.999),
-           n_bins=st.sampled_from([1, 17, 129, 257]),
            x_off=st.lists(st.booleans(), min_size=1, max_size=20),
            seed=st.integers(0, 2**16))
     @settings(max_examples=40, deadline=None)
     def test_shifted_auto_and_power_equal_direct_update(self, partitions, alpha,
-                                                         n_bins, x_off, seed):
+                                                         x_off, seed):
         # The direct form smooths every row of |x|^2 anew and computes
         # |x|^2 once per use; the tracker must give the same bits.
         rng = np.random.default_rng(seed)
-        tracker = _CouplingTracker(partitions, alpha, n_bins)
-        history = np.zeros((partitions, n_bins), dtype=complex)
-        cross = np.zeros((partitions, n_bins), dtype=complex)
-        auto = np.zeros((partitions, n_bins))
+        tracker = _CouplingTracker(partitions, alpha)
+        history = np.zeros((partitions, N_BINS), dtype=complex)
+        cross = np.zeros((partitions, N_BINS), dtype=complex)
+        auto = np.zeros((partitions, N_BINS))
         a = alpha
         for off in x_off:
-            x = np.zeros(n_bins, complex) if off else \
-                rng.standard_normal(n_bins) + 1j * rng.standard_normal(n_bins)
-            target = rng.standard_normal(n_bins) + 1j * rng.standard_normal(n_bins)
+            x = np.zeros(N_BINS, complex) if off else _noise(rng)
+            target = _noise(rng)
             history[1:] = history[:-1]
             history[0] = x
             cross = a * cross + (1 - a) * target[None, :] * np.conj(history)
@@ -129,16 +121,6 @@ class TestCombine:
     def test_midpoint_is_arithmetic_mean(self):
         combined = combine_residual_power(np.array([4.0]), np.array([2.0]), 0.5)
         assert combined[0] == pytest.approx(3.0, rel=1e-12)
-
-    def test_out_of_range_probability_rejected(self):
-        with pytest.raises(InputError):
-            combine_residual_power(np.ones(3), np.ones(3), 1.5)
-        with pytest.raises(InputError):
-            combine_residual_power(np.ones(3), np.ones(3), -0.1)
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(InputError):
-            combine_residual_power(np.ones(3), np.ones(4), 0.5)
 
     @given(p=st.floats(0.0, 1.0),
            seed=st.integers(0, 2**16))

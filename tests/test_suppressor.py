@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import exp1
 
-from echoforge.errors import ConfigError, InputError
-from echoforge.suppressor import (Suppressor, SuppressorParams, apply_mask,
-                                  dd_prior_snr, exp_integral_e1, lsa_gain,
+from echoforge.errors import ConfigError
+from echoforge.stft import N_BINS
+from echoforge.suppressor import (Suppressor, SuppressorParams, dd_prior_snr, lsa_gain,
                                   mask_gain, posterior_snr)
 
 
@@ -15,26 +16,23 @@ def quadrature_e1(v: float) -> float:
 
 
 class TestExponentialIntegral:
+    """lsa_gain calls scipy.special.exp1 on arguments floored at V_FLOOR."""
+
     @pytest.mark.parametrize("v", [1e-10, 1e-6, 0.01, 0.1, 0.5, 0.999,
                                    1.0, 1.5, 5.0, 20.0, 50.0])
     def test_matches_quadrature(self, v):
-        assert exp_integral_e1(v) == pytest.approx(quadrature_e1(v),
-                                                   rel=1e-9, abs=1e-12)
+        assert exp1(v) == pytest.approx(quadrature_e1(v), rel=1e-9, abs=1e-12)
 
     def test_zero_d_input_gives_scalar(self):
-        out = exp_integral_e1(np.float64(0.5))
+        out = exp1(np.float64(0.5))
         assert np.ndim(out) == 0
         assert out == pytest.approx(quadrature_e1(0.5), rel=1e-9)
 
     def test_two_d_input_keeps_shape(self):
         v = np.logspace(-6, 1.5, 3 * 257).reshape(3, 257)
-        out = exp_integral_e1(v)
+        out = exp1(v)
         assert out.shape == (3, 257)
         assert out[1, 100] == pytest.approx(quadrature_e1(v[1, 100]), rel=1e-9)
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(InputError):
-            exp_integral_e1(0.0)
 
 
 class TestPosteriorSnr:
@@ -161,32 +159,44 @@ class TestMask:
             SuppressorParams(theta1=2.0, theta2=1.0)
 
 
+def _noise_frame(rng):
+    return rng.standard_normal(N_BINS) + 1j * rng.standard_normal(N_BINS)
+
+
 class TestApplyMask:
+    """process_frame applies the mask: s_hat = zeta * e_frame."""
+
     def test_identity_and_zero(self):
+        # mask_alpha = 0 makes the high branch exactly 1 and the middle 0;
+        # the interference power spreads xi over all three branches
         rng = np.random.default_rng(2)
-        e = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-        assert np.array_equal(apply_mask(np.ones(16), e), e)
-        assert np.all(apply_mask(np.zeros(16), e) == 0)
+        sup = Suppressor(SuppressorParams(alpha_dd=0.0, mask_alpha=0.0))
+        e = _noise_frame(rng)
+        interference = np.abs(e) ** 2 / np.logspace(-2, 2, N_BINS)
+        s_hat, _, _, zeta = sup.process_frame(e, interference, np.zeros(N_BINS))
+        assert np.array_equal(s_hat, zeta * e)
+        assert np.any(zeta == 1.0) and np.any(zeta == 0.0)
+        assert np.array_equal(s_hat[zeta == 1.0], e[zeta == 1.0])
+        assert np.all(s_hat[zeta == 0.0] == 0)
 
     def test_phase_preserved(self):
         rng = np.random.default_rng(3)
-        e = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-        z = rng.uniform(0.1, 2.0, 16)
-        out = apply_mask(z, e)
-        assert np.allclose(np.angle(out), np.angle(e))
-
-    def test_shape_mismatch(self):
-        with pytest.raises(InputError):
-            apply_mask(np.ones(4), np.ones(5, complex))
+        sup = Suppressor(SuppressorParams())
+        for _ in range(5):
+            e = _noise_frame(rng)
+            s_hat, _, _, zeta = sup.process_frame(
+                e, rng.uniform(0.1, 2.0, N_BINS), rng.uniform(0.0, 1.0, N_BINS))
+            assert np.all(zeta > 0)
+            assert np.allclose(np.angle(s_hat), np.angle(e))
 
 
 class TestSuppressorState:
     def test_memory_updates_with_output_power(self):
-        sup = Suppressor(SuppressorParams(), 8)
+        sup = Suppressor(SuppressorParams())
         rng = np.random.default_rng(4)
-        e = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+        e = _noise_frame(rng)
         s_hat, xi, gamma, zeta = sup.process_frame(
-            e, np.full(8, 0.1), np.full(8, 0.1))
+            e, np.full(N_BINS, 0.1), np.full(N_BINS, 0.1))
         assert np.allclose(sup.prev_clean_power, np.abs(s_hat) ** 2)
         assert np.all(xi >= 0)
         assert np.all(gamma >= 0)
