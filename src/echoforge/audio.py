@@ -1,7 +1,8 @@
 """Mono audio buffers and RIFF WAV input/output.
 
-Samples are kept as float64 in full scale [-1, 1). 16-bit PCM files are
-mapped to float by division by 32768; 32-bit float files are read as-is.
+Samples are kept as float64 in full scale [-1, 1). Reading accepts mono
+16-bit and 32-bit PCM, mapped to float by division by 2**15 and 2**31,
+and 32-bit and 64-bit float, read as-is. Writing is always 32-bit float.
 """
 
 from __future__ import annotations
@@ -12,8 +13,6 @@ import numpy as np
 from scipy.io import wavfile
 
 from .errors import InputError
-
-_INT16_SCALE = 32768.0
 
 
 @dataclass(frozen=True)
@@ -45,12 +44,19 @@ class AudioBuffer:
 
 
 def read_wav(path) -> AudioBuffer:
-    """Read a mono WAV file (16-bit PCM or 32/64-bit float)."""
-    rate, data = wavfile.read(path)
+    """Read a mono WAV file (16/32-bit PCM or 32/64-bit float).
+
+    A missing file raises FileNotFoundError, a file that is not such a WAV
+    InputError; both name the path.
+    """
+    try:
+        rate, data = wavfile.read(path)
+    except ValueError as exc:  # scipy cannot parse the RIFF structure
+        raise InputError(f"{path}: not a readable WAV file ({exc})") from exc
     if data.ndim != 1:
-        raise InputError(f"{path}: expected mono, got {data.ndim} channels")
+        raise InputError(f"{path}: expected mono, got {data.shape[1]} channels")
     if data.dtype == np.int16:
-        samples = data.astype(np.float64) / _INT16_SCALE
+        samples = data.astype(np.float64) / 32768.0
     elif data.dtype == np.int32:
         samples = data.astype(np.float64) / 2147483648.0
     elif data.dtype in (np.float32, np.float64):
@@ -60,17 +66,7 @@ def read_wav(path) -> AudioBuffer:
     return AudioBuffer(samples, int(rate))
 
 
-def write_wav(path, buffer: AudioBuffer, fmt: str = "float32") -> None:
-    """Write a mono WAV file.
-
-    fmt "float32" writes IEEE float (no clipping, keeps >1 amplitudes from
-    heavily scaled mixtures); fmt "int16" clips to [-1, 1) and quantizes.
-    """
-    if fmt == "float32":
-        wavfile.write(path, buffer.sample_rate, buffer.samples.astype(np.float32))
-    elif fmt == "int16":
-        clipped = np.clip(buffer.samples, -1.0, 32767.0 / _INT16_SCALE)
-        wavfile.write(path, buffer.sample_rate,
-                      np.round(clipped * _INT16_SCALE).astype(np.int16))
-    else:
-        raise InputError(f"unsupported WAV format {fmt!r}")
+def write_wav(path, buffer: AudioBuffer) -> None:
+    """Write a mono 32-bit float WAV file (no clipping, so amplitudes above 1
+    from heavily scaled mixtures survive)."""
+    wavfile.write(path, buffer.sample_rate, buffer.samples.astype(np.float32))

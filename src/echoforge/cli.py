@@ -75,7 +75,7 @@ _CORPUS_KEYS = {
 }
 
 
-def load_corpus_spec(path, seed_override=None):
+def load_corpus_spec(path):
     """Read a corpus spec file into (CorpusSpec, directory of the file);
     absent keys take CorpusSpec's defaults."""
     raw = cfgmod.read_config(path)
@@ -96,14 +96,13 @@ def load_corpus_spec(path, seed_override=None):
         snr_range_db=(v.get("corpus.snr_min", d.snr_range_db[0]),
                       v.get("corpus.snr_max", d.snr_range_db[1])),
         sigma3=v.get("corpus.sigma3", d.sigma3),
-        master_seed=(seed_override if seed_override is not None
-                     else v.get("corpus.seed", d.master_seed)),
+        master_seed=v.get("corpus.seed", d.master_seed),
     )
     return spec, base_dir
 
 
 def cmd_corpus(args) -> int:
-    spec, base_dir = load_corpus_spec(args.spec, args.seed)
+    spec, base_dir = load_corpus_spec(args.spec)
     recipes = corpusmod.generate_corpus(spec, args.count, args.out, base_dir)
     print(f"wrote {len(recipes)} items to {args.out}")
     return 0
@@ -114,9 +113,9 @@ _GA_KEYS = {f"ga.{f.name}": cfgmod.as_int if isinstance(f.default, int) else cfg
             for f in fields(tunermod.GaConfig) if f.name != "jobs"}
 
 
-def load_tune_config(path, seed=None, jobs=None):
-    """Read a GA config / bounds file into (GaConfig, bounds); a `seed`
-    from the command line overrides `ga.seed`."""
+def load_tune_config(path, jobs=None):
+    """Read a GA config / bounds file into (GaConfig, bounds); `jobs` comes
+    from the command line."""
     raw = cfgmod.read_config(path) if path else {}
     ga_kwargs = {}
     bounds = tunermod.default_bounds()
@@ -133,8 +132,6 @@ def load_tune_config(path, seed=None, jobs=None):
             bounds[name] = (v, hi) if which == "min" else (lo, v)
         else:
             raise ConfigError(f"unknown tune config key {key!r}")
-    if seed is not None:
-        ga_kwargs["seed"] = seed
     if jobs is not None:
         ga_kwargs["jobs"] = jobs
     cfg = tunermod.GaConfig(**ga_kwargs)
@@ -143,7 +140,7 @@ def load_tune_config(path, seed=None, jobs=None):
 
 
 def cmd_tune(args) -> int:
-    cfg, bounds = load_tune_config(args.ga_config, args.seed, args.jobs)
+    cfg, bounds = load_tune_config(args.ga_config, args.jobs)
     manifest = corpusmod.read_manifest(args.manifest)
     base_dir = os.path.dirname(os.path.abspath(args.manifest))
     items = tunermod.load_corpus_items(manifest, base_dir)
@@ -189,7 +186,12 @@ def build_parser() -> argparse.ArgumentParser:
                     "music playback.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("enhance", help="cancel echo and suppress noise in one file")
+    def command(name, help_text):
+        # No abbreviations: every option has one spelling, and a removed
+        # option is not taken as a prefix of another (--seed of --seed-incumbent).
+        return sub.add_parser(name, help=help_text, allow_abbrev=False)
+
+    p = command("enhance", "cancel echo and suppress noise in one file")
     p.add_argument("mic", help="microphone WAV")
     p.add_argument("reference", help="far-end (loudspeaker) reference WAV")
     p.add_argument("output", help="enhanced output WAV")
@@ -198,14 +200,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write per-frame xi/gamma/zeta side file")
     p.set_defaults(func=cmd_enhance)
 
-    p = sub.add_parser("corpus", help="generate a synthetic noisy corpus")
+    p = command("corpus", "generate a synthetic noisy corpus")
     p.add_argument("spec", help="corpus spec config file")
     p.add_argument("count", type=int, help="number of items")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--seed", type=int, help="override the master seed")
     p.set_defaults(func=cmd_corpus)
 
-    p = sub.add_parser("tune", help="genetic parameter search over a corpus")
+    p = command("tune", "genetic parameter search over a corpus")
     p.add_argument("manifest", help="corpus manifest.json")
     p.add_argument("--ga-config", dest="ga_config", help="GA config / bounds file")
     p.add_argument("--out", required=True, help="output best-parameters config")
@@ -215,13 +216,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="work directory for the external scorer")
     p.add_argument("--timeout", type=float, default=600.0,
                    help="external scorer timeout, seconds")
-    p.add_argument("--seed", type=int, help="override the GA seed")
     p.add_argument("--jobs", type=int, help="candidates in flight at once")
     p.add_argument("--seed-incumbent", action="store_true",
                    help="put the default parameters into the initial population")
     p.set_defaults(func=cmd_tune)
 
-    p = sub.add_parser("metrics", help="ERLE / segmental SNR between two files")
+    p = command("metrics", "ERLE / segmental SNR between two files")
     p.add_argument("signal_a")
     p.add_argument("signal_b")
     p.add_argument("--window", type=float, default=1.0, help="ERLE window, seconds")

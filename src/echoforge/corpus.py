@@ -37,6 +37,7 @@ from .stft import SAMPLE_RATE
 PINK_B = (0.049922035, -0.095993537, 0.050612699, -0.004408786)
 PINK_A = (1.0, -2.494956002, 2.017265875, -0.522189400)
 
+DEFAULT_IR_COUNT = 12
 DEFAULT_IR_SEED = 0x1A7E
 NOISE_TYPES = ("babble", "factory", "music")
 
@@ -88,13 +89,6 @@ class MixtureRecipe:
     sigma3: float
     seed: int
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "MixtureRecipe":
-        return cls(**d)
-
 
 @dataclass
 class MixResult:
@@ -116,7 +110,8 @@ def normalize_ir(ir: AudioBuffer) -> AudioBuffer:
 
 
 def gain_for_ser(speech: AudioBuffer, echo: AudioBuffer, ser_db: float) -> float:
-    """Echo gain realizing 10*log10(E_s / (g^2 E_d)) = ser_db."""
+    """Gain g realizing 10*log10(E_s / (g^2 E_d)) = ser_db; the same formula
+    gives the noise gain for a speech-to-noise ratio."""
     e_s = speech.energy()
     e_d = echo.energy()
     if e_s <= 0.0:
@@ -124,11 +119,6 @@ def gain_for_ser(speech: AudioBuffer, echo: AudioBuffer, ser_db: float) -> float
     if e_d <= 0.0:
         raise InputError("silent echo signal")
     return float(np.sqrt(e_s / e_d) * 10.0 ** (-ser_db / 20.0))
-
-
-def gain_for_snr(speech: AudioBuffer, noise: AudioBuffer, snr_db: float) -> float:
-    """Noise gain realizing the requested speech-to-noise ratio."""
-    return gain_for_ser(speech, noise, snr_db)
 
 
 def pink_noise(n_samples: int, rng: np.random.Generator) -> np.ndarray:
@@ -139,17 +129,17 @@ def pink_noise(n_samples: int, rng: np.random.Generator) -> np.ndarray:
     return pink / max(rms, 1e-12)
 
 
-def make_default_irs(count: int = 12, length: int = 1024,
-                     seed: int = DEFAULT_IR_SEED) -> list:
-    """Synthetic exponentially decaying impulse responses, unit energy.
+def make_default_irs(length: int = 1024) -> list:
+    """DEFAULT_IR_COUNT synthetic exponentially decaying impulse responses,
+    unit energy, drawn from DEFAULT_IR_SEED.
 
     A direct-path spike followed by a noise tail whose decay time varies
     per response. Stands in for measured rooms; user-provided WAV
     responses are preferred for realism.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(DEFAULT_IR_SEED)
     irs = []
-    for _ in range(count):
+    for _ in range(DEFAULT_IR_COUNT):
         decay_ms = rng.uniform(20.0, 120.0)
         tau = decay_ms / 1000.0 * SAMPLE_RATE / np.log(1000.0)  # RT60-ish decay
         t = np.arange(length)
@@ -160,8 +150,6 @@ def make_default_irs(count: int = 12, length: int = 1024,
 
 
 def _read_source(path) -> AudioBuffer:
-    if not os.path.exists(path):
-        raise FileNotFoundError(f"missing source file: {path}")
     buf = read_wav(path)
     if buf.sample_rate != SAMPLE_RATE:
         raise InputError(f"{path}: expected {SAMPLE_RATE} Hz, got {buf.sample_rate} Hz")
@@ -272,7 +260,7 @@ def _draw_recipe(spec: CorpusSpec, index: int, irs: list, base_dir: str):
         ir_index_speech=ir_index_speech, ir_index_music=ir_index_music,
         ser_db=ser_db, snr_db=snr_db,
         sigma1=gain_for_ser(speech_reverb, echo, ser_db),
-        sigma2=gain_for_snr(speech_reverb, noise, snr_db),
+        sigma2=gain_for_ser(speech_reverb, noise, snr_db),
         sigma3=spec.sigma3, seed=item_seed,
     )
     return recipe, _sum(recipe, speech_dry, speech_reverb, music, echo, noise)
@@ -310,7 +298,7 @@ def generate_corpus(spec: CorpusSpec, n_items: int, out_dir,
                 written.append(os.path.join(out_dir, paths[key]))
                 write_wav(written[-1], buf)
             recipes.append(recipe)
-            entries.append({**recipe.to_dict(), "files": paths})
+            entries.append({**asdict(recipe), "files": paths})
         manifest = {
             "sample_rate": SAMPLE_RATE,
             "master_seed": spec.master_seed,

@@ -44,9 +44,9 @@ def erle_db(mic: np.ndarray, enhanced: np.ndarray) -> float:
     return float(erle_windows(mic, enhanced, max(len(np.asarray(mic)), 1))[0])
 
 
-def segmental_snr(reference: np.ndarray, test: np.ndarray,
-                  frame: int = SEGSNR_FRAME) -> float:
-    """Mean per-segment SNR of `test` against `reference`, clamped to +-40 dB.
+def segmental_snr(reference: np.ndarray, test: np.ndarray) -> float:
+    """Mean SNR of `test` against `reference` over SEGSNR_FRAME-sample
+    segments, each clamped to +-40 dB.
 
     Segments where both signals are silent carry no information and are
     skipped; an exact match returns the +40 dB ceiling.
@@ -56,8 +56,8 @@ def segmental_snr(reference: np.ndarray, test: np.ndarray,
     if reference.shape != test.shape:
         raise InputError(f"length mismatch: {reference.shape} vs {test.shape}")
     vals = []
-    for start in range(0, len(reference) - frame + 1, frame):
-        sl = slice(start, start + frame)
+    for start in range(0, len(reference) - SEGSNR_FRAME + 1, SEGSNR_FRAME):
+        sl = slice(start, start + SEGSNR_FRAME)
         ref_e = np.sum(reference[sl] ** 2)
         err_e = np.sum((reference[sl] - test[sl]) ** 2)
         if ref_e <= 0.0 and err_e <= 0.0:
@@ -67,7 +67,7 @@ def segmental_snr(reference: np.ndarray, test: np.ndarray,
 
 
 def segmental_snr_improvement(clean: np.ndarray, enhanced: np.ndarray,
-                              mixture: np.ndarray, frame: int = SEGSNR_FRAME) -> float:
+                              mixture: np.ndarray) -> float:
     """Segmental SNR gain of the enhanced signal over the raw mixture."""
-    gain = segmental_snr(clean, enhanced, frame) - segmental_snr(clean, mixture, frame)
+    gain = segmental_snr(clean, enhanced) - segmental_snr(clean, mixture)
     return float(np.clip(gain, -SEGSNR_CLAMP_DB, SEGSNR_CLAMP_DB))

@@ -21,8 +21,6 @@ from .rpe import RpeParams
 from .suppressor import SuppressorParams
 from .vad import VadParams
 
-KINDS = ("real", "int", "log", "pow2")
-
 
 @dataclass(frozen=True)
 class Field:

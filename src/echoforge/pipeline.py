@@ -129,9 +129,8 @@ def process_stream(mic: AudioBuffer, reference: AudioBuffer,
 
 def measure_erle(mic: AudioBuffer, enhanced: AudioBuffer,
                  window_seconds: float = 1.0) -> np.ndarray:
-    """Windowed echo reduction of the enhanced output against the mic."""
-    if len(mic) != len(enhanced):
-        raise InputError("mic and enhanced lengths differ")
+    """Windowed echo reduction of the enhanced output against the mic;
+    InputError if their lengths differ."""
     window = max(1, int(round(window_seconds * mic.sample_rate)))
     return erle_windows(mic.samples, enhanced.samples, window)
 

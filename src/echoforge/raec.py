@@ -34,6 +34,8 @@ from .errors import ConfigError, InputError
 DELTA = 1e-3
 # Lower bound for the robust scale estimate.
 SCALE_FLOOR = 1e-6
+# Upward smoothing of the robust scale (slow on purpose); downward uses alpha.
+SCALE_RISE = 0.9995
 # Blocks with a median |e| below this are silence: nothing to learn from.
 SILENCE_LEVEL = 1e-5
 # |e| median -> sigma for a Gaussian.
@@ -60,7 +62,6 @@ class RaecParams:
     mu: float = 0.5                # NLMS step size
     gamma: float = 1.5             # clip threshold in units of the robust scale
     alpha: float = 0.9             # PSD smoothing / downward scale smoothing
-    scale_rise: float = 0.9995     # upward scale smoothing (slow on purpose)
 
     def __post_init__(self):
         n = self.frame_size
@@ -74,10 +75,8 @@ class RaecParams:
             raise ConfigError(f"mu must be in (0, 2), got {self.mu}")
         if self.gamma <= 0.0:
             raise ConfigError(f"gamma must be > 0, got {self.gamma}")
-        for name in ("alpha", "scale_rise"):
-            v = getattr(self, name)
-            if not 0.0 <= v < 1.0:
-                raise ConfigError(f"{name} must be in [0, 1), got {v}")
+        if not 0.0 <= self.alpha < 1.0:
+            raise ConfigError(f"alpha must be in [0, 1), got {self.alpha}")
 
 
 def clip_error(e_block: np.ndarray, scale: float, params: RaecParams) -> np.ndarray:
@@ -85,8 +84,6 @@ def clip_error(e_block: np.ndarray, scale: float, params: RaecParams) -> np.ndar
 
     Used only to form the adaptation error, never on the signal path.
     """
-    if scale <= 0:
-        raise ConfigError(f"scale must be positive, got {scale}")
     limit = params.gamma * scale
     return np.clip(e_block, -limit, limit)
 
@@ -266,7 +263,7 @@ class Raec:
                     # the limiter and the step control armed through
                     # sustained double talk.
                     capped = (min(lo, limit) + min(hi, limit)) / 2 / MEDIAN_TO_SIGMA
-                    a = p.alpha if capped < self.scale else p.scale_rise
+                    a = p.alpha if capped < self.scale else SCALE_RISE
                     self.scale = max(a * self.scale + (1.0 - a) * capped, SCALE_FLOOR)
             else:
                 e_adapt = y_block - self._filter()

@@ -253,27 +253,22 @@ def ga_run(cfg: GaConfig, bounds: dict, objective, incumbent: dict | None = None
 
 
 def load_corpus_items(manifest: dict, base_dir: str) -> list:
-    """Load (mix, clean target, far-end reference) triples into memory.
+    """Load every item's (mix, clean target, far-end reference) triple into
+    memory; no item is skipped.
 
-    Unreadable items are skipped with a warning; the objective averages
-    over the rest. A file that is not at SAMPLE_RATE is an InputError.
+    A missing file raises FileNotFoundError, an unreadable one or one that
+    is not at SAMPLE_RATE InputError, each naming the path.
     """
     items = []
     for entry in manifest["items"]:
         paths = [os.path.join(base_dir, entry["files"][key])
                  for key in ("mix", "speech", "reference")]
-        try:
-            triple = tuple(read_wav(path) for path in paths)
-        except (OSError, ValueError) as exc:
-            log.warning("skipping item %s: %s", entry.get("item_id"), exc)
-            continue
+        triple = tuple(read_wav(path) for path in paths)
         for path, buffer in zip(paths, triple):
             if buffer.sample_rate != SAMPLE_RATE:
                 raise InputError(f"{path}: expected {SAMPLE_RATE} Hz, got "
                                  f"{buffer.sample_rate} Hz")
         items.append(triple)
-    if not items:
-        raise ConfigError("no readable corpus items")
     return items
 
 

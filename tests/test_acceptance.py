@@ -290,8 +290,7 @@ def test_10_corpus_fidelity(acceptance_corpus, tmp_path):
 
     worst = 0.0
     for entry in manifest["items"]:
-        recipe = MixtureRecipe.from_dict(
-            {k: v for k, v in entry.items() if k != "files"})
+        recipe = MixtureRecipe(**{k: v for k, v in entry.items() if k != "files"})
         result = mix_item(recipe, irs)
         worst = max(worst,
                     abs(measured_ser_db(result, recipe) - recipe.ser_db),

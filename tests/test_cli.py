@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import re
@@ -7,7 +8,8 @@ import pytest
 
 from echoforge import corpus as corpusmod
 from echoforge.audio import AudioBuffer, read_wav, write_wav
-from echoforge.cli import load_corpus_spec, load_run_config, load_tune_config, main
+from echoforge.cli import (build_parser, load_corpus_spec, load_run_config,
+                           load_tune_config, main)
 from echoforge.config import read_config
 from echoforge.stft import N_BINS
 from conftest import music_like, speech_like
@@ -295,6 +297,31 @@ class TestTuneCommand:
         assert "item0001.ref.wav: expected 16000 Hz, got 8000 Hz" in err
         assert not best.exists()
 
+    @pytest.mark.parametrize("damage", ["missing", "not-riff"])
+    def test_unreadable_item_exit_2_naming_path(self, tmp_path, capsys, damage):
+        # one bad item of two fails the run; it is not skipped
+        paths = _write_sources(tmp_path)
+        corpus_cfg = tmp_path / "corpus.cfg"
+        corpus_cfg.write_text(
+            f"corpus.speech = {paths['sp']}\n"
+            f"corpus.music = {paths['mu']}\n"
+            f"corpus.noise.babble = {paths['no']}\n")
+        corpus_dir = tmp_path / "cc"
+        assert main(["corpus", str(corpus_cfg), "2", "--out", str(corpus_dir)]) == 0
+        bad = corpus_dir / "item0001.mix.wav"
+        if damage == "missing":
+            bad.unlink()
+        else:
+            bad.write_bytes(b"not a wave file")
+        ga_cfg = tmp_path / "ga.cfg"
+        ga_cfg.write_text("ga.population = 2\nga.elite = 1\nga.generations = 1\n")
+        best = tmp_path / "best.cfg"
+        code = main(["tune", str(corpus_dir / "manifest.json"), "--ga-config", str(ga_cfg),
+                     "--out", str(best)])
+        assert code == 2
+        assert str(bad) in capsys.readouterr().err
+        assert not best.exists()
+
     def test_bad_bounds_key_exit_3(self, tmp_path, capsys):
         ga_cfg = tmp_path / "ga.cfg"
         ga_cfg.write_text("bounds.raec1.mu = 0.3\n")
@@ -319,6 +346,46 @@ class TestTuneCommand:
                      "--out", str(tmp_path / "b.cfg")])
         assert code == 3
         assert key in capsys.readouterr().err
+
+
+class TestRemovedOptions:
+    @pytest.mark.parametrize("argv", [
+        ["corpus", "corpus.cfg", "3", "--out", "x", "--seed", "3"],
+        ["tune", "manifest.json", "--out", "b.cfg", "--seed", "3"],
+        ["tune", "manifest.json", "--out", "b.cfg", "--seed"],
+    ], ids=["corpus-seed", "tune-seed", "tune-seed-bare"])
+    def test_seed_flags_rejected(self, capsys, argv):
+        # the seeds are corpus.seed and ga.seed; a bare --seed is not
+        # read as an abbreviation of --seed-incumbent
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed" in capsys.readouterr().err
+
+
+def _readme_usage_options():
+    """The `--` options on each subcommand's lines of the README's
+    "Command line" block; continuation lines belong to the command above."""
+    with open(README, encoding="utf-8") as fh:
+        block = re.search(r"^## Command line\n+```\n(.*?)^```", fh.read(), re.M | re.S)
+    options = {}
+    for line in block.group(1).splitlines():
+        words = line.split()
+        if words[:1] == ["echoforge"]:
+            command = options.setdefault(words[1], set())
+        command.update(re.findall(r"(--[a-z][a-z-]*)", line))
+    return options
+
+
+class TestReadmeUsage:
+    def test_usage_lines_match_the_parser(self):
+        subparsers = next(a for a in build_parser()._actions
+                          if isinstance(a, argparse._SubParsersAction))
+        parser_options = {
+            name: {s for a in p._actions for s in a.option_strings
+                   if s.startswith("--") and s != "--help"}
+            for name, p in subparsers.choices.items()}
+        assert _readme_usage_options() == parser_options
 
 
 def _readme_config_blocks():

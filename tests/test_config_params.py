@@ -2,9 +2,15 @@ import pytest
 
 from echoforge.config import (as_bool, as_float, as_int, as_paths,
                               format_config, parse_config_text)
+from echoforge.dtp import DtpParams
 from echoforge.errors import ConfigError
-from echoforge.params import (SCHEMA, build_pipeline_params, default_params,
-                              field, validate_params)
+from echoforge.npe import NpeParams
+from echoforge.params import (SCHEMA, PipelineParams, build_pipeline_params,
+                              default_params, field, validate_params)
+from echoforge.raec import RaecParams
+from echoforge.rpe import RpeParams
+from echoforge.suppressor import SuppressorParams
+from echoforge.vad import VadParams
 
 
 class TestConfigFormat:
@@ -83,6 +89,12 @@ class TestBuildPipelineParams:
         assert params.raec1.partitions == 8
         assert params.raec2.partitions == 4
         assert params.suppressor.theta1 == pytest.approx(10 ** -0.5)
+
+    def test_schema_defaults_equal_stage_defaults(self):
+        # each default is written twice: in SCHEMA and in its stage dataclass
+        assert build_pipeline_params() == PipelineParams(
+            RaecParams(), RaecParams(partitions=4), DtpParams(), RpeParams(),
+            NpeParams(), SuppressorParams(), VadParams())
 
     def test_overrides_apply(self):
         params = build_pipeline_params({"raec1.mu": 0.25, "vad.hangover": 3})

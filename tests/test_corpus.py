@@ -1,6 +1,7 @@
 import json
 import os
 import re
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from scipy.signal import welch
 from echoforge import corpus
 from echoforge.audio import AudioBuffer, read_wav, write_wav
 from echoforge.corpus import (CorpusSpec, MixtureRecipe, gain_for_ser,
-                              gain_for_snr, generate_corpus, make_default_irs,
+                              generate_corpus, make_default_irs,
                               measured_ser_db, measured_snr_db, mix_item,
                               normalize_ir, pink_noise, read_manifest)
 from echoforge.errors import ConfigError, InputError
@@ -65,7 +66,7 @@ class TestGains:
         s = AudioBuffer(rng.standard_normal(4000) * 0.3, FS)
         d = AudioBuffer(rng.standard_normal(4000) * 1.7, FS)
         for target in (-15.0, -3.0, 6.0):
-            sigma = gain_for_snr(s, d, target)
+            sigma = gain_for_ser(s, d, target)
             realized = 10 * np.log10(s.energy() / (sigma**2 * d.energy()))
             assert realized == pytest.approx(target, abs=1e-9)
 
@@ -122,7 +123,7 @@ class TestMixing:
             noise_offset=0, ir_index_speech=0, ir_index_music=0,
             ser_db=0.0, snr_db=0.0, sigma1=1.0, sigma2=1.0, sigma3=0.0, seed=7)
         # the 2 s speech item cannot start 11 s into a 12 s source
-        recipe = MixtureRecipe(**{**recipe.to_dict(), field: 11 * FS})
+        recipe = MixtureRecipe(**{**asdict(recipe), field: 11 * FS})
         path = recipe.music_path if field == "music_offset" else recipe.noise_path
         with pytest.raises(ConfigError, match=re.escape(path)):
             mix_item(recipe, irs)

@@ -209,6 +209,11 @@ class TestErle:
         vals = measure_erle(AudioBuffer(x, FS), AudioBuffer(np.zeros_like(x), FS))
         assert vals[0] == 80.0
 
+    def test_length_mismatch_rejected(self):
+        x = speech_like(1.0, seed=22)
+        with pytest.raises(InputError):
+            measure_erle(AudioBuffer(x, FS), AudioBuffer(x[:-1], FS))
+
     def test_windowed_lengths(self):
         x = speech_like(2.5, seed=21)
         vals = erle_windows(x, x / 2, FS)

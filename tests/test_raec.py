@@ -248,7 +248,7 @@ class PlainRaec:
                     self.step_factor = burst * self.coherence(err_spec)
                     capped = np.minimum(np.abs(e), p.gamma * self.scale)
                     raw = np.median(capped) / raec.MEDIAN_TO_SIGMA
-                    a = p.alpha if raw < self.scale else p.scale_rise
+                    a = p.alpha if raw < self.scale else raec.SCALE_RISE
                     self.scale = max(a * self.scale + (1.0 - a) * raw, raec.SCALE_FLOOR)
             else:
                 e_adapt = y_block - self.filter()

@@ -1,5 +1,8 @@
+import re
+
 import numpy as np
 import pytest
+from scipy.io import wavfile
 
 from echoforge.audio import AudioBuffer, read_wav, write_wav
 from echoforge.cli import load_run_config
@@ -156,17 +159,38 @@ class TestWavIO:
     def test_float32_round_trip(self, tmp_path):
         x = _random_buffer(5000, seed=7)
         path = tmp_path / "f32.wav"
-        write_wav(path, x, fmt="float32")
+        write_wav(path, x)
         back = read_wav(path)
         assert back.sample_rate == FS
         assert np.allclose(back.samples, x.samples, atol=1e-7)
 
-    def test_int16_round_trip_maps_fullscale(self, tmp_path):
-        x = AudioBuffer(np.array([0.0, 0.5, -1.0, 32767 / 32768]), FS)
-        path = tmp_path / "i16.wav"
-        write_wav(path, x, fmt="int16")
+    @pytest.mark.parametrize("dtype,full_scale", [
+        (np.int16, 2.0**15), (np.int32, 2.0**31), (np.float32, 1.0), (np.float64, 1.0),
+    ], ids=["int16", "int32", "float32", "float64"])
+    def test_read_format_maps_fullscale(self, tmp_path, dtype, full_scale):
+        if np.issubdtype(dtype, np.integer):
+            info = np.iinfo(dtype)
+            raw = np.array([0, info.max // 2 + 1, info.min, info.max], dtype=dtype)
+        else:
+            raw = np.array([0.0, 0.5, -1.0, 0.75], dtype=dtype)
+        path = tmp_path / "in.wav"
+        wavfile.write(path, FS, raw)
         back = read_wav(path)
-        assert np.allclose(back.samples, x.samples, atol=1 / 32768)
+        assert back.sample_rate == FS
+        assert np.array_equal(back.samples, raw.astype(np.float64) / full_scale)
+        assert back.samples[1] == 0.5 and back.samples[2] == -1.0
+
+    @pytest.mark.parametrize("kind", ["uint8", "stereo", "not-riff"])
+    def test_unsupported_file_rejected_naming_path(self, tmp_path, kind):
+        path = tmp_path / f"{kind}.wav"
+        if kind == "uint8":
+            wavfile.write(path, FS, np.full(8, 128, dtype=np.uint8))
+        elif kind == "stereo":
+            wavfile.write(path, FS, np.zeros((8, 2), dtype=np.int16))
+        else:
+            path.write_bytes(b"not a wave file")
+        with pytest.raises(InputError, match=re.escape(str(path))):
+            read_wav(path)
 
     def test_nonfinite_rejected(self):
         with pytest.raises(InputError):
