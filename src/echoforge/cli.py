@@ -142,6 +142,8 @@ def load_tune_config(path, jobs=None):
 def cmd_tune(args) -> int:
     cfg, bounds = load_tune_config(args.ga_config, args.jobs)
     manifest = corpusmod.read_manifest(args.manifest)
+    if not manifest["items"]:
+        raise InputError(f"{args.manifest}: no corpus items")
     base_dir = os.path.dirname(os.path.abspath(args.manifest))
     items = tunermod.load_corpus_items(manifest, base_dir)
     if args.objective_cmd:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .stft import N_BINS
+from .stft import N_BINS, smooth_frames
 
 COHERENCE_EPS = 1e-10
 SILENCE_POWER = 1e-12
@@ -65,45 +65,67 @@ class DtpParams:
 
 
 class DtpEstimator:
-    """Sequential per-stream state; do not share across streams."""
+    """Sequential per-stream state; do not share across streams.
+
+    `process` is the entry point for a chunk of frames. The three PSD
+    recursions are row loops over the chunk, carried between chunks, and
+    the band coherence and silence test then run once per chunk; only the
+    probability recursion (`update`) runs frame by frame. Only the bins of
+    the coherence band are tracked: no other bin is ever read.
+    """
 
     def __init__(self, params: DtpParams):
         self.params = params
         self.p_dt = 0.5
-        self.psd_dd = np.zeros(N_BINS)
-        self.psd_yy = np.zeros(N_BINS)
-        self.psd_dy = np.zeros(N_BINS, dtype=complex)
+        width = params.k_end + 1 - params.k_begin
+        self.psd_dd = np.zeros(width)
+        self.psd_yy = np.zeros(width)
+        self.psd_dy = np.zeros(width, dtype=complex)
         self._hysteresis = False
         self._pending = 0
+        self._debounce = params.debounce_frames()
+        self._enter = min(params.b01, 1.0 - params.b10)
+        self._leave = max(params.b01, 1.0 - params.b10)
 
-    def update(self, d: np.ndarray, y: np.ndarray) -> float:
-        """Consume one (N_BINS,) frame pair of echo estimate and mic, and
-        return the double-talk probability."""
+    def process(self, d: np.ndarray, y: np.ndarray) -> list:
+        """Consume a (frames, N_BINS) chunk pair of echo estimate and mic;
+        return the double-talk probability after each frame."""
+        return [self.update(c) for c in self.band_coherence(d, y)]
+
+    def band_coherence(self, d: np.ndarray, y: np.ndarray) -> list:
+        """Advance the PSDs over a (frames, N_BINS) chunk pair; per frame,
+        the mean coherence over the band, or None where both band PSDs are
+        silent."""
         p = self.params
         a = p.alpha
-        self.psd_dd = a * self.psd_dd + (1 - a) * np.abs(d) ** 2
-        self.psd_yy = a * self.psd_yy + (1 - a) * np.abs(y) ** 2
-        self.psd_dy = a * self.psd_dy + (1 - a) * d * np.conj(y)
-
         band = slice(p.k_begin, p.k_end + 1)
-        if (np.mean(self.psd_dd[band]) < SILENCE_POWER
-                and np.mean(self.psd_yy[band]) < SILENCE_POWER):
-            return self.p_dt  # silence is uninformative
+        d = d[:, band]
+        y = y[:, band]
+        dd = smooth_frames((1 - a) * np.abs(d) ** 2, self.psd_dd, a)
+        yy = smooth_frames((1 - a) * np.abs(y) ** 2, self.psd_yy, a)
+        dy = smooth_frames((1 - a) * d * np.conj(y), self.psd_dy, a)
+        self.psd_dd, self.psd_yy, self.psd_dy = dd[-1], yy[-1], dy[-1]
+        silent = ((np.mean(dd, axis=1) < SILENCE_POWER)
+                  & (np.mean(yy, axis=1) < SILENCE_POWER)).tolist()
+        coherence = np.abs(dy) ** 2 / (dd * yy + COHERENCE_EPS)
+        means = np.mean(coherence, axis=1).tolist()
+        return [None if quiet else c for c, quiet in zip(means, silent)]
 
-        coherence = np.abs(self.psd_dy) ** 2 / (
-            self.psd_dd * self.psd_yy + COHERENCE_EPS)
-        mean_coh = float(np.mean(coherence[band]))
-
+    def update(self, mean_coh: float | None) -> float:
+        """One frame of the probability recursion on the frame's band-mean
+        coherence (None, a silent frame, is uninformative and leaves the
+        probability as it is); returns the double-talk probability."""
+        if mean_coh is None:
+            return self.p_dt
+        p = self.params
         likelihood = 1.0 - min(max(mean_coh, 0.0), 1.0)
 
         # hysteresis comparator on the same coherence (enter below b01,
         # leave above 1 - b10, after a tau-long debounce); pins evidence
         # high in the clearly incoherent regime without chattering
-        enter = min(p.b01, 1.0 - p.b10)
-        leave = max(p.b01, 1.0 - p.b10)
-        crossing = mean_coh > leave if self._hysteresis else mean_coh < enter
+        crossing = mean_coh > self._leave if self._hysteresis else mean_coh < self._enter
         self._pending = self._pending + 1 if crossing else 0
-        if self._pending >= p.debounce_frames():
+        if self._pending >= self._debounce:
             self._hysteresis = not self._hysteresis
             self._pending = 0
         if self._hysteresis:

@@ -54,30 +54,35 @@ class NoisePowerEstimator:
         self._warmup_acc = np.zeros(N_BINS)
         self._warmup_count = 0
 
-    def update(self, e_frame: np.ndarray) -> np.ndarray:
-        """Consume one (N_BINS,) spectral frame, return the per-bin noise power."""
-        periodogram = np.abs(e_frame) ** 2
+    def update(self, periodogram: np.ndarray) -> np.ndarray:
+        """Consume a (frames, N_BINS) chunk of error periodograms |E|^2;
+        return the per-bin noise power after each frame.
 
-        if self._warmup_left > 0:
-            self._warmup_acc += periodogram
-            self._warmup_count += 1
-            self._warmup_left -= 1
-            self.noise_power = np.maximum(
-                self._warmup_acc / self._warmup_count, NOISE_FLOOR)
-            return self.noise_power
-
+        The recursion feeds back on its own estimate, so it runs frame by
+        frame.
+        """
         p = self.params
         snr_frac = p.xi_h1 / (1.0 + p.xi_h1)
-        # posterior speech presence under the fixed-SNR hypothesis
-        log_ratio = periodogram / self.noise_power * snr_frac
-        prob = 1.0 / (1.0 + (1.0 + p.xi_h1) * np.exp(-np.minimum(log_ratio, 700.0)))
+        out = np.empty_like(periodogram)
+        for t, power in enumerate(periodogram):
+            if self._warmup_left > 0:
+                self._warmup_acc += power
+                self._warmup_count += 1
+                self._warmup_left -= 1
+                self.noise_power = np.maximum(
+                    self._warmup_acc / self._warmup_count, NOISE_FLOOR, out=out[t])
+                continue
 
-        self.smoothed_p = p.alpha_p * self.smoothed_p + (1 - p.alpha_p) * prob
-        stuck = self.smoothed_p > p.p_threshold
-        prob = np.where(stuck, np.minimum(prob, p.p_threshold), prob)
+            # posterior speech presence under the fixed-SNR hypothesis
+            log_ratio = power / self.noise_power * snr_frac
+            prob = 1.0 / (1.0 + (1.0 + p.xi_h1) * np.exp(-np.minimum(log_ratio, 700.0)))
 
-        estimate = prob * self.noise_power + (1.0 - prob) * periodogram
-        self.noise_power = np.maximum(
-            p.alpha_npe * self.noise_power + (1 - p.alpha_npe) * estimate,
-            NOISE_FLOOR)
-        return self.noise_power
+            self.smoothed_p = p.alpha_p * self.smoothed_p + (1 - p.alpha_p) * prob
+            stuck = self.smoothed_p > p.p_threshold
+            prob = np.where(stuck, np.minimum(prob, p.p_threshold), prob)
+
+            estimate = prob * self.noise_power + (1.0 - prob) * power
+            self.noise_power = np.maximum(
+                p.alpha_npe * self.noise_power + (1 - p.alpha_npe) * estimate,
+                NOISE_FLOOR, out=out[t])
+        return out

@@ -3,11 +3,14 @@
 Per stream: the cascaded echo canceler runs on its own block size over
 the time-domain signals; the cleaned error, the echo estimate, the mic
 and the reference are then transformed on the shared frame clock and
-walked frame by frame through double-talk probability, the two residual
-echo power trackers, noise power estimation, the masking suppressor and
-the voice activity detector. Everything is deterministic given inputs
-and parameters; the per-stream estimator state (held inside
-process_stream) is strictly sequential and never shared between streams.
+walked in chunks of CHUNK_FRAMES frames through double-talk probability,
+the two residual echo power trackers, noise power estimation, the masking
+suppressor and the voice activity detector. Within a chunk, each stage
+computes what needs no earlier output as array operations and runs only
+its own recursion frame by frame, so the output does not depend on the
+chunk size. Everything is deterministic given inputs and parameters; the
+per-stream estimator state (held inside process_stream) is strictly
+sequential and never shared between streams.
 
 Input is at SAMPLE_RATE (16 kHz). Output sample n depends on input
 samples up to n + FRAME_LEN - 1 (one analysis frame of lookahead from the
@@ -31,6 +34,12 @@ from .rpe import ResidualPowerEstimator, combine_residual_power
 from .stft import N_BINS, SAMPLE_RATE, analyze, synthesize
 from .suppressor import Suppressor
 from .vad import VadDecider, segments_from_flags, vad_statistic
+
+# Frames per pass of the estimator chain. Work that does not feed back on
+# an earlier frame's output runs once per chunk as array operations; the
+# recursions that do run frame by frame inside it. Any chunk size gives
+# the same bits; 32 keeps the chunk temporaries to a few hundred kB.
+CHUNK_FRAMES = 32
 
 
 @dataclass
@@ -102,25 +111,25 @@ def process_stream(mic: AudioBuffer, reference: AudioBuffer,
         vad_statistic=np.empty(n_frames),
     ) if collect_diagnostics else None
 
-    for m in range(n_frames):
-        p_dt = dtp.update(spec_d[m], spec_y[m])
-        power_high = rpe.update_high(spec_y[m], spec_x[m])
-        power_low = rpe.update_low(spec_e[m], spec_x[m])
-        residual_power = combine_residual_power(power_high, power_low, p_dt)
-        noise_power = npe.update(spec_e[m])
-        s_hat, xi, gamma, zeta = suppressor.process_frame(
-            spec_e[m], noise_power, residual_power)
+    for start in range(0, n_frames, CHUNK_FRAMES):
+        c = slice(start, start + CHUNK_FRAMES)
+        p_dt = np.array(dtp.process(spec_d[c], spec_y[c]))
+        power_high, power_low = rpe.process(spec_y[c], spec_e[c], spec_x[c])
+        residual_power = combine_residual_power(power_high, power_low, p_dt[:, None])
+        error_power = np.abs(spec_e[c]) ** 2
+        noise_power = npe.update(error_power)
+        out_frames[c], xi, gamma, zeta = suppressor.process(
+            spec_e[c], error_power, noise_power, residual_power)
         statistic = vad_statistic(xi, gamma)
-        flags.append(vad.decide(statistic))
-        out_frames[m] = s_hat
+        flags.extend(vad.decide(s) for s in statistic.tolist())
         if diag is not None:
-            diag.p_dt[m] = p_dt
-            diag.xi[m] = xi
-            diag.gamma[m] = gamma
-            diag.zeta[m] = zeta
-            diag.noise_power[m] = noise_power
-            diag.residual_power[m] = residual_power
-            diag.vad_statistic[m] = statistic
+            diag.p_dt[c] = p_dt
+            diag.xi[c] = xi
+            diag.gamma[c] = gamma
+            diag.zeta[c] = zeta
+            diag.noise_power[c] = noise_power
+            diag.residual_power[c] = residual_power
+            diag.vad_statistic[c] = statistic
 
     enhanced = synthesize(out_frames, length=out_len)
     segments = segments_from_flags(flags, out_len)

@@ -83,6 +83,8 @@ def clip_error(e_block: np.ndarray, scale: float, params: RaecParams) -> np.ndar
     """Error recovery nonlinearity: clip |e| at gamma*scale, keep the sign.
 
     Used only to form the adaptation error, never on the signal path.
+    `Raec.process_block` takes the same clip in place, into its padded
+    error buffer; this is the plain form the reference tests use.
     """
     limit = params.gamma * scale
     return np.clip(e_block, -limit, limit)
@@ -221,13 +223,14 @@ class Raec:
         den = self.x_power * self.err_power[None, :] + 1e-20
         # best partition's mean over bins: division by the bin count keeps
         # the order, so the largest sum divided gives the largest mean exactly
-        rho = float((np.abs(self.err_cross) ** 2 / den).sum(axis=1).max()) / self.n_bins
+        rho = float(np.maximum.reduce(
+            np.add.reduce(np.abs(self.err_cross) ** 2 / den, axis=1))) / self.n_bins
         k_eff = min(self._coh_blocks, (1 + b) / (1 - b))
         floor = COHERENCE_BIAS_MULT / k_eff
         return min(1.0, max(rho - floor, 0.0) / COHERENCE_FULL_SCALE)
 
     def _filter(self) -> np.ndarray:
-        spectrum = (self.weights * self.x_spectra).sum(axis=0)
+        spectrum = np.add.reduce(self.weights * self.x_spectra, axis=0)
         n = self.params.frame_size
         return np.fft.irfft(spectrum, n=2 * n)[n:]
 
@@ -253,7 +256,7 @@ class Raec:
             if it == 0:
                 # One partition yields the median of |e| and, since capping
                 # at the clip limit keeps the order, the capped median too.
-                lo, hi = np.partition(np.abs(e), self._mid_ranks)[self._mid_ranks]
+                lo, hi = np.partition(np.abs(e), self._mid_ranks)[self._mid_ranks].tolist()
                 raw = (lo + hi) / 2 / MEDIAN_TO_SIGMA
                 if raw > SILENCE_LEVEL:
                     limit = p.gamma * self.scale
@@ -267,8 +270,10 @@ class Raec:
                     self.scale = max(a * self.scale + (1.0 - a) * capped, SCALE_FLOOR)
             else:
                 e_adapt = y_block - self._filter()
-            # clipped with the scale this block's update has already moved
-            pad[1, n:] = clip_error(e_adapt, self.scale, p)
+            # clip_error in place, with the scale this block's update has
+            # already moved
+            limit = p.gamma * self.scale
+            np.minimum(np.maximum(e_adapt, -limit, out=pad[1, n:]), limit, out=pad[1, n:])
             if burst is None:
                 # later iteration, or a silent block whose gradients vanish
                 # anyway: keep the previous step factor
@@ -287,10 +292,10 @@ class Raec:
             np.divide(grad, norm, out=grad)
             np.add(self.weights, grad, out=grad)
             # Gradient constraint: keep each partition's response causal
-            # within its block, removing circular-convolution wrap.
+            # within its block, removing circular-convolution wrap: only the
+            # first n taps go back, zero-padded to 2n by the transform.
             w_time = np.fft.irfft(grad, n=2 * n, axis=1)
-            w_time[:, n:] = 0.0
-            self.weights = np.fft.rfft(w_time, axis=1)
+            self.weights = np.fft.rfft(w_time[:, :n], n=2 * n, axis=1)
         return e, d_hat
 
     def equivalent_response(self) -> np.ndarray:

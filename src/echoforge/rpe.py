@@ -15,9 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError
-from .stft import N_BINS
+from .stft import N_BINS, smooth_frames
 
 COUPLING_REG = 1e-8
 
@@ -41,53 +42,91 @@ class RpeParams:
 class _CouplingTracker:
     """Per-partition least-squares coupling of a target onto the reference.
 
-    The reference histories (conjugate spectra, |x|^2 and the smoothed
-    auto-PSD, row 0 newest) shift down one row per frame and only row 0
-    is computed. From the all-zero start, auto[m] after frame t is exactly
-    auto[m - 1] after frame t - 1, so the shift gives the same bits as
-    smoothing every row anew.
+    Partition m pairs target frame t with reference frame t - m. From the
+    all-zero start, smoothing every partition's auto-PSD anew gives the
+    partition-0 auto-PSD of frame t - m, so one recursion per frame serves
+    every partition. Its regularized inverse 1 / (auto + COUPLING_REG) is
+    taken once per frame and lagged like the reference; multiplying by it
+    gives the bits of numpy's complex-by-real division, which multiplies
+    by the reciprocal itself.
     """
 
     def __init__(self, partitions: int, alpha: float):
+        self.partitions = partitions
         self.alpha = alpha
-        self.x_conj = np.zeros((partitions, N_BINS), dtype=complex)
-        self.x_power = np.zeros((partitions, N_BINS))
         self.cross = np.zeros((partitions, N_BINS), dtype=complex)
-        self.auto = np.zeros((partitions, N_BINS))
+        self.auto = np.zeros(N_BINS)   # partition 0's auto-PSD, newest frame
+        # inverses for the partitions - 1 frames before the next chunk, oldest first
+        self._inv_auto = np.full((partitions - 1, N_BINS), 1.0 / COUPLING_REG)
 
-    def update(self, target_frame: np.ndarray, x_frame: np.ndarray) -> np.ndarray:
-        for history in (self.x_conj, self.x_power, self.auto):
-            history[1:] = history[:-1]
-        np.conj(x_frame, out=self.x_conj[0])
-        self.x_power[0] = np.abs(self.x_conj[0]) ** 2
+    def update(self, target: np.ndarray, x_conj: np.ndarray,
+               x_power: np.ndarray) -> np.ndarray:
+        """Coupled power for each frame of a (frames, N_BINS) target chunk.
+
+        x_conj and x_power hold conj(X) and |X|^2 of the chunk's reference
+        frames behind at least partitions - 1 earlier ones, oldest first.
+        """
         a = self.alpha
-        # row 0 still holds the previous frame's newest auto-PSD
-        self.auto[0] = a * self.auto[0] + (1 - a) * self.x_power[0]
-        self.cross = a * self.cross + (1 - a) * target_frame[None, :] * self.x_conj
-        coupling = self.cross / (self.auto + COUPLING_REG)
-        return np.sum(np.abs(coupling) ** 2 * self.x_power, axis=0)
+        frames = len(target)
+        first = len(x_power) - frames   # the chunk's first reference row
+        auto = smooth_frames((1 - a) * x_power[first:], self.auto, a)
+        self.auto = auto[-1]
+        inv_auto = np.concatenate((self._inv_auto, 1.0 / (auto + COUPLING_REG)))
+        self._inv_auto = inv_auto[frames:]
+        cross = smooth_frames(
+            ((1 - a) * target)[:, None, :] * _lagged(x_conj, first, self.partitions),
+            self.cross, a)
+        self.cross = cross[-1].copy()
+        # the coupling, in place
+        cross *= _lagged(inv_auto, self.partitions - 1, self.partitions)
+        return np.sum(np.abs(cross) ** 2 * _lagged(x_power, first, self.partitions),
+                      axis=1)
+
+
+def _lagged(rows: np.ndarray, first: int, partitions: int) -> np.ndarray:
+    """(frames, partitions, N_BINS) view of rows[first - partitions + 1:]
+    whose element [t, m] is rows[first + t - m], without a copy."""
+    windows = sliding_window_view(rows[first - partitions + 1:], partitions, axis=0)
+    return windows[:, :, ::-1].transpose(0, 2, 1)
 
 
 class ResidualPowerEstimator:
-    """Sequential per-stream state holding both coupling trackers."""
+    """Sequential per-stream state: both coupling trackers and the one
+    reference history they share."""
 
     def __init__(self, params: RpeParams):
         self.params = params
         self._high = _CouplingTracker(params.partitions_high, params.alpha_high)
         self._low = _CouplingTracker(params.partitions_low, params.alpha_low)
+        history = max(params.partitions_high, params.partitions_low) - 1
+        # conj(X) and |X|^2 of the frames before the next chunk, oldest first
+        self._x_conj = np.zeros((history, N_BINS), dtype=complex)
+        self._x_power = np.zeros((history, N_BINS))
 
-    def update_high(self, y_frame: np.ndarray, x_frame: np.ndarray) -> np.ndarray:
+    def process(self, y: np.ndarray, e: np.ndarray, x: np.ndarray):
+        """Consume (frames, N_BINS) chunks of mic, canceler error and
+        reference; return the high and low power estimates per frame."""
+        history = len(self._x_conj)
+        x_conj = np.concatenate((self._x_conj, np.conj(x)))
+        x_power = np.concatenate((self._x_power, np.abs(x_conj[history:]) ** 2))
+        self._x_conj, self._x_power = x_conj[len(x):], x_power[len(x):]
+        return self.update_high(y, x_conj, x_power), self.update_low(e, x_conj, x_power)
+
+    def update_high(self, y: np.ndarray, x_conj: np.ndarray,
+                    x_power: np.ndarray) -> np.ndarray:
         """Track the mic/reference coupling; returns the high power estimate."""
-        return self._high.update(y_frame, x_frame)
+        return self._high.update(y, x_conj, x_power)
 
-    def update_low(self, e_frame: np.ndarray, x_frame: np.ndarray) -> np.ndarray:
+    def update_low(self, e: np.ndarray, x_conj: np.ndarray,
+                   x_power: np.ndarray) -> np.ndarray:
         """Track the error/reference coupling; returns the low power estimate."""
-        return self._low.update(e_frame, x_frame)
+        return self._low.update(e, x_conj, x_power)
 
 
 def combine_residual_power(power_high: np.ndarray, power_low: np.ndarray,
-                           p_dt: float) -> np.ndarray:
-    """Blend high and low estimates by the double-talk probability.
+                           p_dt) -> np.ndarray:
+    """Blend high and low estimates by the double-talk probability: a
+    float for one frame, or a (frames, 1) column for a chunk.
 
     For finite non-negative powers, p_dt = 0 gives power_high and p_dt = 1
     gives power_low bit for bit.

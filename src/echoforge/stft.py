@@ -39,6 +39,22 @@ def analyze(buffer: AudioBuffer) -> np.ndarray:
     return np.fft.rfft(frames, axis=1)
 
 
+def smooth_frames(terms: np.ndarray, state: np.ndarray, a: float) -> np.ndarray:
+    """First-order smoothing down the frames of a chunk, in place.
+
+    Row t of terms becomes a * (row t - 1) + terms[t], with `state` before
+    row 0, and terms is returned: its last row is the state to carry into
+    the next chunk. The adds are those of a frame-by-frame recursion, so
+    any split into chunks gives the same bits. A row loop, not
+    scipy.signal.lfilter: importing scipy.signal would more than double
+    the import time of the package.
+    """
+    for row in terms:
+        row += a * state
+        state = row
+    return terms
+
+
 def synthesize(frames: np.ndarray, length: int | None = None) -> AudioBuffer:
     """Inverse transform via normalized weighted overlap-add.
 

@@ -54,25 +54,30 @@ class SuppressorParams:
             raise ConfigError(f"mask_alpha must be >= 0, got {self.mask_alpha}")
 
 
-def posterior_snr(error_power, noise_power, residual_power) -> np.ndarray:
-    """gamma = error power / (noise + residual echo power), floored denominator."""
-    num = np.asarray(error_power, dtype=float)
-    den = np.asarray(noise_power, dtype=float) + np.asarray(residual_power, dtype=float)
-    return num / np.maximum(den, POWER_FLOOR)
+def posterior_snr(error_power, noise_power, residual_power):
+    """A posteriori SNR against the summed noise and residual echo power.
+
+    Returns (gamma, interference): interference = noise + residual echo
+    power floored at POWER_FLOOR, and gamma = error power / interference.
+    """
+    interference = np.maximum(noise_power + residual_power, POWER_FLOOR)
+    return error_power / interference, interference
 
 
-def dd_prior_snr(prev_clean_power, gamma, noise_power, residual_power,
-                 alpha_dd: float) -> np.ndarray:
+def dd_instant(gamma, alpha_dd: float) -> np.ndarray:
+    """The decision-directed prior's memoryless share,
+    (1 - alpha_dd) * max(gamma - 1, 0)."""
+    return (1.0 - alpha_dd) * np.maximum(gamma - 1.0, 0.0)
+
+
+def dd_prior_snr(prev_clean_power, interference, instant, alpha_dd: float) -> np.ndarray:
     """Decision-directed a priori SNR.
 
-    Blends the previous frame's clean-speech power (over the current
-    interference power) with the instantaneous max(gamma - 1, 0).
+    Blends the previous frame's clean-speech power over the current
+    interference power with the instantaneous share from dd_instant:
+    alpha_dd * prev_clean_power / interference + instant.
     """
-    den = np.maximum(np.asarray(noise_power, dtype=float)
-                     + np.asarray(residual_power, dtype=float), POWER_FLOOR)
-    memory = np.asarray(prev_clean_power, dtype=float) / den
-    instant = np.maximum(np.asarray(gamma, dtype=float) - 1.0, 0.0)
-    return alpha_dd * memory + (1.0 - alpha_dd) * instant
+    return alpha_dd * (prev_clean_power / interference) + instant
 
 
 def lsa_gain(xi, gamma) -> np.ndarray:
@@ -103,25 +108,47 @@ def mask_gain(xi, g_lsa, params: SuppressorParams) -> np.ndarray:
 
 
 class Suppressor:
-    """Holds the previous clean-speech power; sequential per stream."""
+    """Holds the previous clean-speech power; sequential per stream.
+
+    `process` is the entry point for a chunk of frames: the a posteriori
+    SNR and the prior's instantaneous share need no memory and are taken
+    once per chunk, and `process_frame` then runs the decision-directed
+    recursion frame by frame.
+    """
 
     def __init__(self, params: SuppressorParams):
         self.params = params
         self.prev_clean_power = np.zeros(N_BINS)
 
-    def process_frame(self, e_frame: np.ndarray, noise_power: np.ndarray,
-                      residual_power: np.ndarray):
-        """One (N_BINS,) frame of combined suppression.
+    def process(self, e: np.ndarray, error_power: np.ndarray,
+                noise_power: np.ndarray, residual_power: np.ndarray):
+        """Suppress a (frames, N_BINS) chunk of canceler error e, given its
+        power |e|^2 and the noise and residual echo power per frame.
 
-        Returns (s_hat, xi, gamma, zeta), where s_hat = zeta * e_frame (a
-        real gain per bin, phase kept); updates the clean-speech memory.
+        Returns (s_hat, xi, gamma, zeta) for the chunk, each (frames, N_BINS).
         """
-        error_power = np.abs(e_frame) ** 2
-        gamma = posterior_snr(error_power, noise_power, residual_power)
-        xi = dd_prior_snr(self.prev_clean_power, gamma, noise_power,
-                          residual_power, self.params.alpha_dd)
+        gamma, interference = posterior_snr(error_power, noise_power, residual_power)
+        instant = dd_instant(gamma, self.params.alpha_dd)
+        s_hat = np.empty_like(e)
+        xi = np.empty_like(gamma)
+        zeta = np.empty_like(gamma)
+        for t in range(len(e)):
+            s_hat[t], xi[t], zeta[t] = self.process_frame(
+                e[t], gamma[t], interference[t], instant[t])
+        return s_hat, xi, gamma, zeta
+
+    def process_frame(self, e_frame: np.ndarray, gamma: np.ndarray,
+                      interference: np.ndarray, instant: np.ndarray):
+        """One (N_BINS,) frame of combined suppression, from its rows of
+        the chunk terms that `process` takes.
+
+        Returns (s_hat, xi, zeta), where s_hat = zeta * e_frame (a real gain
+        per bin, phase kept); updates the clean-speech memory.
+        """
+        xi = dd_prior_snr(self.prev_clean_power, interference, instant,
+                          self.params.alpha_dd)
         g = lsa_gain(xi, gamma)
         zeta = mask_gain(xi, g, self.params)
         s_hat = zeta * e_frame
         self.prev_clean_power = np.abs(s_hat) ** 2
-        return s_hat, xi, gamma, zeta
+        return s_hat, xi, zeta

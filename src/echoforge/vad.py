@@ -30,9 +30,10 @@ class VadParams:
                 f"hangover_frames must be >= 0, got {self.hangover_frames}")
 
 
-def vad_statistic(xi, gamma) -> float:
-    """Frame log-likelihood-ratio statistic; additive over bins."""
-    return float(np.sum(gamma * xi / (1.0 + xi) - np.log1p(xi)))
+def vad_statistic(xi, gamma):
+    """Frame log-likelihood-ratio statistic, additive over bins: summed
+    over the last axis, so a (frames, bins) chunk gives one per frame."""
+    return np.sum(gamma * xi / (1.0 + xi) - np.log1p(xi), axis=-1)
 
 
 class VadDecider:

@@ -269,7 +269,7 @@ class TestTuneCommand:
         assert main(["enhance", mic, ref, str(tmp_path / "o.wav"),
                      "--config", str(best)]) == 0
 
-    @pytest.mark.parametrize("text", ["not json {", "{}", '{"items": {}}',
+    @pytest.mark.parametrize("text", ["not json {", "{}", '{"items": {}}', '{"items": []}',
                                       '{"items": [{"item_id": 0}]}',
                                       '{"items": [{"files": {"mix": "m.wav"}}]}'])
     def test_malformed_manifest_exit_2_naming_path(self, tmp_path, capsys, text):

@@ -1,4 +1,3 @@
-import json
 import os
 import re
 from dataclasses import asdict

@@ -1,7 +1,7 @@
 import os
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -12,7 +12,8 @@ from echoforge.audio import AudioBuffer
 from echoforge.errors import InputError
 from echoforge.metrics import erle_windows, segmental_snr
 from echoforge.params import build_pipeline_params
-from echoforge.pipeline import (measure_erle, process_stream,
+from echoforge import pipeline
+from echoforge.pipeline import (Diagnostics, measure_erle, process_stream,
                                 write_diagnostics_file)
 from echoforge.stft import FRAME_LEN
 from echoforge.suppressor import Suppressor, SuppressorParams
@@ -98,9 +99,9 @@ class TestContracts:
         original = Suppressor.process_frame
 
         def emit_nan(self, *args):
-            s_hat, xi, gamma, zeta = original(self, *args)
+            s_hat, *rest = original(self, *args)
             s_hat[3] = np.nan
-            return s_hat, xi, gamma, zeta
+            return s_hat, *rest
 
         monkeypatch.setattr(Suppressor, "process_frame", emit_nan)
         mic, ref = _echo_scenario(duration=1.0, seed=14, with_speech=True)
@@ -174,6 +175,37 @@ class TestEdgeInputs:
         assert len(result.enhanced) == mic_len
         assert np.all(result.enhanced.samples == 0)
         assert result.segments == []
+
+
+class TestChunkedChain:
+    @pytest.mark.parametrize("n_frames", [100, 1])
+    @pytest.mark.parametrize("partitions", [(2, 5), (6, 3)], ids=["high<low", "high>low"])
+    def test_chunk_size_leaves_every_output_unchanged(self, monkeypatch, n_frames,
+                                                      partitions):
+        # 100 frames is a multiple of neither 7 nor the default chunk, so
+        # the last chunk is short; one frame makes a single short chunk
+        default = pipeline.CHUNK_FRAMES
+        assert 100 % 7 and 100 % default
+        mic, ref = _echo_scenario(duration=1.6, seed=24, with_speech=True)
+        length = n_frames * 256 - 100
+        mic = AudioBuffer(mic.samples[:length], FS)
+        ref = AudioBuffer(ref.samples[:length], FS)
+        # a low VAD threshold, so that the VAD finds the speech
+        params = build_pipeline_params({"rpe.partitions_high": partitions[0],
+                                        "rpe.partitions_low": partitions[1],
+                                        "vad.threshold": 0.0, "vad.hangover": 2})
+        runs = []
+        for chunk in (1, 7, default):
+            monkeypatch.setattr(pipeline, "CHUNK_FRAMES", chunk)
+            runs.append(process_stream(mic, ref, params, collect_diagnostics=True))
+        first = runs[0]
+        assert len(first.diagnostics.p_dt) == n_frames
+        for other in runs[1:]:
+            assert np.array_equal(other.enhanced.samples, first.enhanced.samples)
+            assert other.segments == first.segments
+            for trace in fields(Diagnostics):
+                assert np.array_equal(getattr(other.diagnostics, trace.name),
+                                      getattr(first.diagnostics, trace.name)), trace.name
 
 
 class TestDiagnostics:

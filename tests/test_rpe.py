@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from echoforge.errors import ConfigError
 from echoforge.rpe import (COUPLING_REG, ResidualPowerEstimator, RpeParams,
-                           _CouplingTracker, combine_residual_power)
+                           combine_residual_power)
 from echoforge.stft import N_BINS
 
 
@@ -13,13 +13,19 @@ def _noise(rng):
     return rng.standard_normal(N_BINS) + 1j * rng.standard_normal(N_BINS)
 
 
+def _step(est, y, e, x):
+    """One frame of mic, error and reference as a one-frame chunk; returns
+    the (high, low) powers."""
+    high, low = est.process(y[None], e[None], x[None])
+    return high[0], low[0]
+
+
 class TestCouplingTrackers:
     def test_zero_reference_gives_zero_power(self):
         est = ResidualPowerEstimator(RpeParams())
         rng = np.random.default_rng(0)
         for _ in range(50):
-            high = est.update_high(_noise(rng), np.zeros(N_BINS, complex))
-            low = est.update_low(_noise(rng), np.zeros(N_BINS, complex))
+            high, low = _step(est, _noise(rng), _noise(rng), np.zeros(N_BINS, complex))
         assert np.all(high == 0)
         assert np.all(low == 0)
 
@@ -32,8 +38,7 @@ class TestCouplingTrackers:
         rng = np.random.default_rng(1)
         for _ in range(300):
             x = _noise(rng)
-            high = est.update_high(c * x, x)
-            low = est.update_low(c * x, x)
+            high, low = _step(est, c * x, c * x, x)
         expected = c**2 * np.abs(x) ** 2
         assert np.allclose(high, expected, rtol=1e-3)
         assert np.allclose(low, expected, rtol=1e-3)
@@ -49,7 +54,7 @@ class TestCouplingTrackers:
         for i in range(400):
             y = _noise(rng)
             x = _noise(rng)
-            high = est.update_high(y, x)
+            high, _ = _step(est, y, y, x)
             if i >= 200:
                 powers.append(np.mean(high))
                 y_powers.append(np.mean(np.abs(y) ** 2))
@@ -64,8 +69,7 @@ class TestCouplingTrackers:
             x = _noise(rng)
             y = transfer * x + 0.05 * _noise(rng)
             e = 0.1 * transfer * x + 0.05 * _noise(rng)
-            high = est.update_high(y, x)
-            low = est.update_low(e, x)
+            high, low = _step(est, y, e, x)
         assert np.mean(low <= high) >= 0.9
 
     def test_param_validation(self):
@@ -76,33 +80,47 @@ class TestCouplingTrackers:
 
 
 class TestExactUpdates:
-    @given(partitions=st.integers(1, 8), alpha=st.floats(0.0, 0.999),
-           x_off=st.lists(st.booleans(), min_size=1, max_size=20),
+    @given(partitions=st.tuples(st.integers(1, 8), st.integers(1, 8)),
+           alpha=st.tuples(st.floats(0.0, 0.999), st.floats(0.0, 0.999)),
+           x_off=st.lists(st.booleans(), min_size=1, max_size=40),
+           chunks=st.lists(st.integers(1, 12), min_size=1, max_size=6),
            seed=st.integers(0, 2**16))
     @settings(max_examples=40, deadline=None)
     def test_shifted_auto_and_power_equal_direct_update(self, partitions, alpha,
-                                                         x_off, seed):
-        # The direct form smooths every row of |x|^2 anew and computes
-        # |x|^2 once per use; the tracker must give the same bits.
+                                                         x_off, chunks, seed):
+        # The direct form keeps its own reference history per tracker,
+        # smooths every row of |x|^2 anew, computes |x|^2 once per use and
+        # divides by the regularized auto-PSD, one frame at a time. The
+        # estimator, fed chunks whose sizes cycle through `chunks`, must
+        # give the same bits for both trackers.
         rng = np.random.default_rng(seed)
-        tracker = _CouplingTracker(partitions, alpha)
-        history = np.zeros((partitions, N_BINS), dtype=complex)
-        cross = np.zeros((partitions, N_BINS), dtype=complex)
-        auto = np.zeros((partitions, N_BINS))
-        a = alpha
-        for off in x_off:
-            x = np.zeros(N_BINS, complex) if off else _noise(rng)
-            target = _noise(rng)
-            history[1:] = history[:-1]
-            history[0] = x
-            cross = a * cross + (1 - a) * target[None, :] * np.conj(history)
-            auto = a * auto + (1 - a) * np.abs(history) ** 2
-            coupling = cross / (auto + COUPLING_REG)
-            expected = np.sum(np.abs(coupling) ** 2 * np.abs(history) ** 2, axis=0)
-            power = tracker.update(target, x)
-            assert np.array_equal(tracker.auto, auto)
-            assert np.array_equal(tracker.x_conj, np.conj(history))
-            assert np.array_equal(power, expected)
+        est = ResidualPowerEstimator(RpeParams(
+            partitions_high=partitions[0], partitions_low=partitions[1],
+            alpha_high=alpha[0], alpha_low=alpha[1]))
+        n = len(x_off)
+        x = np.array([np.zeros(N_BINS, complex) if off else _noise(rng) for off in x_off])
+        targets = rng.standard_normal((2, n, N_BINS)) + 1j * rng.standard_normal((2, n, N_BINS))
+        expected = np.empty((2, n, N_BINS))
+        for k, (p, a) in enumerate(zip(partitions, alpha)):
+            history = np.zeros((p, N_BINS), dtype=complex)
+            cross = np.zeros((p, N_BINS), dtype=complex)
+            auto = np.zeros((p, N_BINS))
+            for t in range(n):
+                history[1:] = history[:-1]
+                history[0] = x[t]
+                cross = a * cross + (1 - a) * targets[k, t][None, :] * np.conj(history)
+                auto = a * auto + (1 - a) * np.abs(history) ** 2
+                coupling = cross / (auto + COUPLING_REG)
+                expected[k, t] = np.sum(np.abs(coupling) ** 2 * np.abs(history) ** 2,
+                                        axis=0)
+        start, i = 0, 0
+        while start < n:
+            stop = min(start + chunks[i % len(chunks)], n)
+            high, low = est.process(targets[0, start:stop], targets[1, start:stop],
+                                    x[start:stop])
+            assert np.array_equal(high, expected[0, start:stop])
+            assert np.array_equal(low, expected[1, start:stop])
+            start, i = stop, i + 1
 
 
 class TestCombine:

@@ -5,8 +5,9 @@ from scipy.special import exp1
 
 from echoforge.errors import ConfigError
 from echoforge.stft import N_BINS
-from echoforge.suppressor import (Suppressor, SuppressorParams, dd_prior_snr, lsa_gain,
-                                  mask_gain, posterior_snr)
+from echoforge.suppressor import (POWER_FLOOR, Suppressor, SuppressorParams,
+                                  dd_instant, dd_prior_snr, lsa_gain, mask_gain,
+                                  posterior_snr)
 
 
 def quadrature_e1(v: float) -> float:
@@ -37,33 +38,46 @@ class TestExponentialIntegral:
 
 class TestPosteriorSnr:
     def test_equal_power_gives_one(self):
-        assert posterior_snr(np.array([2.0]), np.array([1.0]), np.array([1.0]))[0] == 1.0
+        gamma, _ = posterior_snr(np.array([2.0]), np.array([1.0]), np.array([1.0]))
+        assert gamma[0] == 1.0
 
     def test_zero_error_gives_zero(self):
-        assert posterior_snr(np.array([0.0]), np.array([1.0]), np.array([1.0]))[0] == 0.0
+        gamma, _ = posterior_snr(np.array([0.0]), np.array([1.0]), np.array([1.0]))
+        assert gamma[0] == 0.0
 
     def test_arithmetic(self):
-        assert posterior_snr(np.array([8.0]), np.array([1.0]), np.array([3.0]))[0] == 2.0
+        gamma, interference = posterior_snr(np.array([8.0]), np.array([1.0]),
+                                            np.array([3.0]))
+        assert gamma[0] == 2.0
+        assert interference[0] == 4.0
 
     def test_zero_denominator_floored_not_raised(self):
-        out = posterior_snr(np.array([1.0]), np.array([0.0]), np.array([0.0]))
-        assert np.isfinite(out[0]) and out[0] > 0
+        gamma, interference = posterior_snr(np.array([1.0]), np.array([0.0]),
+                                            np.array([0.0]))
+        assert np.isfinite(gamma[0]) and gamma[0] > 0
+        assert interference[0] == POWER_FLOOR
+
+
+def _dd(prev, gamma, noise, residual, alpha_dd):
+    """The decision-directed prior from its parts, as Suppressor forms it."""
+    _, interference = posterior_snr(np.zeros_like(gamma), noise, residual)
+    return dd_prior_snr(prev, interference, dd_instant(gamma, alpha_dd), alpha_dd)
 
 
 class TestDecisionDirected:
     def test_first_frame_uses_instantaneous_term_only(self):
-        xi = dd_prior_snr(np.zeros(1), np.array([3.0]), np.array([0.5]),
-                          np.array([0.5]), alpha_dd=0.98)
+        xi = _dd(np.zeros(1), np.array([3.0]), np.array([0.5]),
+                 np.array([0.5]), alpha_dd=0.98)
         assert xi[0] == pytest.approx(0.02 * 2.0, rel=1e-12)
 
     def test_clamped_at_zero_for_low_posterior(self):
-        xi = dd_prior_snr(np.zeros(1), np.array([0.7]), np.array([1.0]),
-                          np.array([0.0]), alpha_dd=0.98)
+        xi = _dd(np.zeros(1), np.array([0.7]), np.array([1.0]),
+                 np.array([0.0]), alpha_dd=0.98)
         assert xi[0] == 0.0
 
     def test_pure_memory_endpoint(self):
-        xi = dd_prior_snr(np.array([4.0]), np.array([100.0]), np.array([2.0]),
-                          np.array([0.0]), alpha_dd=1.0)
+        xi = _dd(np.array([4.0]), np.array([100.0]), np.array([2.0]),
+                 np.array([0.0]), alpha_dd=1.0)
         assert xi[0] == pytest.approx(2.0, rel=1e-12)
 
     def test_nonnegative_and_bounded_by_parts(self):
@@ -74,7 +88,7 @@ class TestDecisionDirected:
             noise = rng.uniform(0.01, 5, 8)
             res = rng.uniform(0, 5, 8)
             a = rng.uniform(0, 0.999)
-            xi = dd_prior_snr(prev, gamma, noise, res, a)
+            xi = _dd(prev, gamma, noise, res, a)
             memory = prev / (noise + res)
             instant = np.maximum(gamma - 1, 0)
             assert np.all(xi >= 0)
@@ -163,8 +177,16 @@ def _noise_frame(rng):
     return rng.standard_normal(N_BINS) + 1j * rng.standard_normal(N_BINS)
 
 
+def _frame(sup, e, noise_power, residual_power):
+    """One frame through Suppressor.process as a one-frame chunk; returns
+    its (s_hat, xi, gamma, zeta) rows."""
+    out = sup.process(e[None], np.abs(e[None]) ** 2, noise_power[None],
+                      residual_power[None])
+    return tuple(a[0] for a in out)
+
+
 class TestApplyMask:
-    """process_frame applies the mask: s_hat = zeta * e_frame."""
+    """The suppressor applies the mask: s_hat = zeta * e_frame."""
 
     def test_identity_and_zero(self):
         # mask_alpha = 0 makes the high branch exactly 1 and the middle 0;
@@ -173,7 +195,7 @@ class TestApplyMask:
         sup = Suppressor(SuppressorParams(alpha_dd=0.0, mask_alpha=0.0))
         e = _noise_frame(rng)
         interference = np.abs(e) ** 2 / np.logspace(-2, 2, N_BINS)
-        s_hat, _, _, zeta = sup.process_frame(e, interference, np.zeros(N_BINS))
+        s_hat, _, _, zeta = _frame(sup, e, interference, np.zeros(N_BINS))
         assert np.array_equal(s_hat, zeta * e)
         assert np.any(zeta == 1.0) and np.any(zeta == 0.0)
         assert np.array_equal(s_hat[zeta == 1.0], e[zeta == 1.0])
@@ -184,8 +206,8 @@ class TestApplyMask:
         sup = Suppressor(SuppressorParams())
         for _ in range(5):
             e = _noise_frame(rng)
-            s_hat, _, _, zeta = sup.process_frame(
-                e, rng.uniform(0.1, 2.0, N_BINS), rng.uniform(0.0, 1.0, N_BINS))
+            s_hat, _, _, zeta = _frame(
+                sup, e, rng.uniform(0.1, 2.0, N_BINS), rng.uniform(0.0, 1.0, N_BINS))
             assert np.all(zeta > 0)
             assert np.allclose(np.angle(s_hat), np.angle(e))
 
@@ -195,8 +217,8 @@ class TestSuppressorState:
         sup = Suppressor(SuppressorParams())
         rng = np.random.default_rng(4)
         e = _noise_frame(rng)
-        s_hat, xi, gamma, zeta = sup.process_frame(
-            e, np.full(N_BINS, 0.1), np.full(N_BINS, 0.1))
+        s_hat, xi, gamma, zeta = _frame(
+            sup, e, np.full(N_BINS, 0.1), np.full(N_BINS, 0.1))
         assert np.allclose(sup.prev_clean_power, np.abs(s_hat) ** 2)
         assert np.all(xi >= 0)
         assert np.all(gamma >= 0)
