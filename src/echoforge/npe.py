@@ -50,7 +50,6 @@ class NoisePowerEstimator:
         self.params = params
         self.smoothed_p = np.zeros(N_BINS)
         self.noise_power = np.full(N_BINS, NOISE_FLOOR)
-        self._warmup_left = COLD_START_FRAMES
         self._warmup_acc = np.zeros(N_BINS)
         self._warmup_count = 0
 
@@ -65,10 +64,9 @@ class NoisePowerEstimator:
         snr_frac = p.xi_h1 / (1.0 + p.xi_h1)
         out = np.empty_like(periodogram)
         for t, power in enumerate(periodogram):
-            if self._warmup_left > 0:
+            if self._warmup_count < COLD_START_FRAMES:
                 self._warmup_acc += power
                 self._warmup_count += 1
-                self._warmup_left -= 1
                 self.noise_power = np.maximum(
                     self._warmup_acc / self._warmup_count, NOISE_FLOOR, out=out[t])
                 continue

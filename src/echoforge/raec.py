@@ -311,30 +311,36 @@ def cascade_run(x: np.ndarray, y: np.ndarray, params1: RaecParams,
 
     Stage outputs chain (the second stage consumes the first stage's
     error), so the stages are free to use different block sizes. Returns
-    (e, d_hat_total, stage1, stage2).
+    (e, d_hat_total, stage1, stage2). Neither stage's own echo estimate is
+    kept: the total one is y - e, formed once at the end.
     """
     stage1 = Raec(params1)
     stage2 = Raec(params2)
-    e1, _ = run_blocks(stage1, x, y)
-    e2, _ = run_blocks(stage2, x, e1)
-    y_padded = np.zeros(len(e2))
-    y_padded[: len(y)] = y
-    return e2, y_padded - e2, stage1, stage2
+    e = run_blocks(stage1, x, y)[0]
+    e = run_blocks(stage2, x, e)[0]
+    return e, pad_to(np.asarray(y, dtype=float), len(e)) - e, stage1, stage2
+
+
+def pad_to(signal: np.ndarray, length: int) -> np.ndarray:
+    """signal zero-padded at the end to length; signal itself, not a copy,
+    when it already has that length."""
+    if len(signal) == length:
+        return signal
+    padded = np.zeros(length)
+    padded[: len(signal)] = signal
+    return padded
 
 
 def run_blocks(canceler, x: np.ndarray, y: np.ndarray):
     """Drive a canceler over whole signals, zero-padding to a block multiple.
 
-    Returns (e, d_hat) trimmed back to the longer input length.
+    Only a signal whose length is not that multiple is copied. Returns
+    (e, d_hat) trimmed back to the longer input length.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     length = max(len(x), len(y))
     n = canceler.params.frame_size
     padded = -(-length // n) * n
-    xp = np.zeros(padded)
-    yp = np.zeros(padded)
-    xp[: len(x)] = x
-    yp[: len(y)] = y
-    e, d_hat = canceler.process(xp, yp)
+    e, d_hat = canceler.process(pad_to(x, padded), pad_to(y, padded))
     return e[:length], d_hat[:length]

@@ -16,6 +16,7 @@ edges; this keeps the first and last samples of a stream recoverable.
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .audio import AudioBuffer
 from .errors import InputError
@@ -27,15 +28,29 @@ N_BINS = FRAME_LEN // 2 + 1
 WINDOW = np.sin(np.pi * (np.arange(FRAME_LEN) + 0.5) / FRAME_LEN)
 
 
-def analyze(buffer: AudioBuffer) -> np.ndarray:
-    """Forward transform: (n_frames, N_BINS) complex spectra."""
+def analyze(buffer: AudioBuffer, first: int = 0, count: int | None = None) -> np.ndarray:
+    """Forward transform: complex spectra, one row per frame.
+
+    Returns frames first .. first + count - 1 of the whole-signal
+    transform (all frames from `first` when count is None), clipped to the
+    frames the signal has, so a stream can be analysed a chunk at a time
+    without ever holding its whole spectrogram. Each frame is transformed
+    on its own, so the rows have the same bits however the range is cut.
+    """
+    if first < 0 or (count is not None and count < 0):
+        raise InputError(f"frame range must be non-negative, got first={first}, count={count}")
     x = buffer.samples
     n_frames = -(-len(x) // HOP)
-    if n_frames == 0:
+    stop = n_frames if count is None else min(first + count, n_frames)
+    if stop <= first:
         return np.zeros((0, N_BINS), dtype=complex)
-    padded = np.zeros((n_frames + 1) * HOP)
-    padded[: len(x)] = x
-    frames = np.lib.stride_tricks.sliding_window_view(padded, FRAME_LEN)[::HOP] * WINDOW
+    # the frames cover samples [lo, hi); only a range that reaches the end of
+    # the signal needs a zero-padded copy of its samples
+    lo, hi = first * HOP, (stop + 1) * HOP
+    span = x[lo:hi]
+    if len(span) < hi - lo:
+        span = np.concatenate((span, np.zeros(hi - lo - len(span))))
+    frames = sliding_window_view(span, FRAME_LEN)[::HOP] * WINDOW
     return np.fft.rfft(frames, axis=1)
 
 
@@ -69,15 +84,24 @@ def synthesize(frames: np.ndarray, length: int | None = None) -> AudioBuffer:
     if length is None:
         length = total
     out = np.zeros(max(total, length))
-    weight = np.zeros(max(total, length))
     if n_frames:
-        blocks = np.fft.irfft(frames, n=FRAME_LEN, axis=1) * WINDOW
+        blocks = np.fft.irfft(frames, n=FRAME_LEN, axis=1)
+        blocks *= WINDOW
+        # Frame m's second half overlaps frame m+1's first half. Each output
+        # sample sums at most two halves into zero, and two-term sums do not
+        # depend on their order, so these are the bits of a frame-by-frame
+        # loop. The adds go through (n_frames, HOP) views, in place.
+        later = out[HOP:total].reshape(n_frames, HOP)
+        later += blocks[:, HOP:]
+        earlier = out[: total - HOP].reshape(n_frames, HOP)
+        earlier += blocks[:, :HOP]
+        # Normalize by the squared window summed the same way, which repeats
+        # every hop: the first half frame, second plus first half in the
+        # interior, the second half at the end. Past the frames the output
+        # stays zero.
         wsq = WINDOW**2
-        # frame m's second half overlaps frame m+1's first half; adding the
-        # second halves first keeps the sums of a frame-by-frame loop
-        out[HOP:total] += blocks[:, HOP:].ravel()
-        out[: total - HOP] += blocks[:, :HOP].ravel()
-        weight[HOP:total] += np.tile(wsq[HOP:], n_frames)
-        weight[: total - HOP] += np.tile(wsq[:HOP], n_frames)
-    np.divide(out, weight, out=out, where=weight > 1e-12)
+        out[:HOP] /= wsq[:HOP]
+        interior = out[HOP: total - HOP].reshape(n_frames - 1, HOP)
+        interior /= wsq[HOP:] + wsq[:HOP]
+        out[total - HOP: total] /= wsq[HOP:]
     return AudioBuffer(out[:length], SAMPLE_RATE)

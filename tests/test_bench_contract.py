@@ -58,6 +58,9 @@ def test_traced_stream_reaches_every_stage():
     assert sum(s.name == "raec.block" for s in tracer.spans) == blocks
     # the tracer reads the frame count of synthesize from its first argument
     n_frames = -(-len(mic) // 256)
+    # analyze runs per signal and chunk; its spans' frames add up to the four
+    # spectrograms, which keeps the bench's stft.frames count
+    assert sum(s.value for s in tracer.spans if s.name == "stft.analyze") == 4 * n_frames
     assert [s.value for s in tracer.spans if s.name == "stft.synthesize"] == [n_frames]
     assert [s.value for s in tracer.spans if s.name == "vad.segments"] == \
         [len(result.segments)]

@@ -2,6 +2,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.io import wavfile
 
 from echoforge.audio import AudioBuffer, read_wav, write_wav
@@ -25,6 +27,25 @@ class TestAnalyze:
         frames = analyze(AudioBuffer(np.zeros(4096), FS))
         assert frames.shape[1] == 257
         assert np.all(frames == 0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.one_of(st.sampled_from([0, 1, HOP - 1, HOP, HOP + 1]),
+                       st.integers(0, 20 * HOP)),
+           first=st.integers(0, 24), count=st.integers(0, 24), seed=st.integers(0, 2**16))
+    @example(n=0, first=0, count=3, seed=0)
+    @example(n=HOP + 1, first=0, count=0, seed=0)
+    @example(n=10 * HOP + 5, first=8, count=20, seed=0)
+    def test_frame_range_equals_rows_of_whole_transform(self, n, first, count, seed):
+        x = _random_buffer(n, seed=seed)
+        rows = analyze(x)[first:first + count]
+        part = analyze(x, first, count)
+        assert part.shape == rows.shape
+        assert part.tobytes() == rows.tobytes()
+
+    @pytest.mark.parametrize("first, count", [(-1, 2), (0, -1)])
+    def test_negative_frame_range_rejected(self, first, count):
+        with pytest.raises(InputError):
+            analyze(_random_buffer(1000), first, count)
 
     def test_empty_buffer_gives_empty_sequence(self):
         frames = analyze(AudioBuffer(np.zeros(0), FS))
