@@ -13,12 +13,14 @@ signal path:
   (near-end speech, or the filter has hit its floor), so sustained
   double talk cannot random-walk converged weights.
 
-What depends on the far end alone (the reference spectra, their smoothed
-power and the NLMS normalization) is built for up to CHUNK blocks at a
-time in one batched pass (`Raec.process`); the per-block loop then does
-only the work that needs the microphone. Two instances chain into a
-cascade (`cascade_run`): the second stage filters the same far-end
-reference and cancels what the first left behind.
+What depends on the far end alone (the reference spectra and their
+conjugates, the conjugates scaled for the coherence recursion, the
+smoothed power and the reciprocal NLMS normalization) is built for up to
+CHUNK blocks at a time in one batched pass (`Raec.process`); the
+per-block loop then does only the work that needs the microphone, in
+work buffers made once per stage. Two instances chain into a cascade
+(`cascade_run`): the second stage filters the same far-end reference and
+cancels what the first left behind.
 """
 
 from __future__ import annotations
@@ -98,12 +100,17 @@ class Raec:
     pass: the reference spectrum of every block's 2n window, its conjugate
     and its smoothed power, stored newest first behind the M - 1 newest
     rows of the previous chunk. Block j's partitions are then the
-    contiguous (M, bins) views x_spectra, x_conj and x_power (row 0
-    newest), and no row is ever shifted. From the all-zero start the power
-    of partition m at block t is the power of partition 0 at block t - m,
-    so one recursion down the blocks gives the same bits as smoothing every
-    partition anew. The table also holds each block's NLMS normalization.
-    Both signals are checked once per call, before any block runs.
+    contiguous (M, bins) views x_spectra, x_conj, x_conj_scaled and
+    x_power (row 0 newest), and no row is ever shifted. From the all-zero
+    start the power of partition m at block t is the power of partition 0
+    at block t - m, so one recursion down the blocks gives the same bits as
+    smoothing every partition anew. x_conj_scaled is
+    (1 - COHERENCE_SMOOTHING) * x_conj, the coherence recursion's input
+    factor. The table also holds each block's NLMS normalization as its
+    reciprocal: numpy divides a complex value by a real one by multiplying
+    both parts by the reciprocal, so multiplying by it gives the bits of
+    the division, up to the sign of an exact zero. Both signals are
+    checked once per call, before any block runs.
     """
 
     def __init__(self, params: RaecParams):
@@ -114,6 +121,7 @@ class Raec:
         self._x_last = np.zeros(n)                  # far-end block before the next chunk
         self.x_spectra = np.zeros((m, self.n_bins), dtype=complex)
         self.x_conj = np.zeros((m, self.n_bins), dtype=complex)
+        self.x_conj_scaled = np.zeros((m, self.n_bins), dtype=complex)
         self.weights = np.zeros((m, self.n_bins), dtype=complex)
         self.x_power = np.zeros((m, self.n_bins))   # smoothed per-partition PSD
         self._psd_bias = 0.0                        # smoothing warm-up correction
@@ -123,22 +131,37 @@ class Raec:
         self.err_power = np.zeros(self.n_bins)
         self._coh_blocks = 0
         self.step_factor = 1.0
-        # Reused every block: row 0 holds the raw error and row 1 the
-        # clipped one, each behind n zeros (the first n columns stay zero);
-        # _work holds the coherence cross term and then the gradient, and
-        # _step_conj the block's (mu * step) * conj(X).
+        # Work buffers, reused every block. _err_pad: row 0 holds the raw
+        # error and row 1 the clipped one, each behind n zeros (the first n
+        # columns stay zero); _err_specs their transforms. _work holds the
+        # filter product, then the coherence cross term, then the gradient;
+        # _step_conj the block's (mu * step) * conj(X); _w_time the
+        # gradient-constrained response. _echo: row 0 is the block's echo
+        # estimate, row 1 a later iteration's. _coh_num and _coh_den hold
+        # |cross|^2 and the coherence denominator. The transforms write into
+        # them through numpy.fft's out=, which needs numpy >= 2.0.
         self._err_pad = np.zeros((2, 2 * n))
+        self._err_specs = np.zeros((2, self.n_bins), dtype=complex)
         self._work = np.zeros((m, self.n_bins), dtype=complex)
         self._step_conj = np.zeros((m, self.n_bins), dtype=complex)
+        self._w_time = np.zeros((m, 2 * n))
+        self._echo_spec = np.zeros(self.n_bins, dtype=complex)
+        self._echo = np.zeros((2, 2 * n))
+        self._abs_e = np.zeros(n)
+        self._err_mag = np.zeros(self.n_bins)
+        self._coh_num = np.zeros((m, self.n_bins))
+        self._coh_den = np.zeros((m, self.n_bins))
+        self._coh_sums = np.zeros(m)
         # ranks of the two middle order statistics of an n-sample block
         self._mid_ranks = [(n - 1) // 2, n // 2]
 
     def process(self, x: np.ndarray, y: np.ndarray):
         """Consume far-end and microphone signals of a whole number of blocks.
 
-        Returns (e, d_hat): the echo-cancelled signal and the echo estimate.
-        Each block of them is computed before that block's weight updates,
-        so any split of a signal into calls gives the same bits.
+        Returns (e, d_hat): the echo-cancelled signal and the echo estimate,
+        both new arrays. Each block of them is computed before that block's
+        weight updates, so any split of a signal into calls gives the same
+        bits.
         """
         p = self.params
         n, m = p.frame_size, p.partitions
@@ -153,23 +176,26 @@ class Raec:
         e = np.empty(len(y))
         d_hat = np.empty(len(y))
         for start in range(0, len(x), CHUNK * n):
-            spectra, conj, power, norm = self._far_end_table(x[start:start + CHUNK * n])
-            k = len(norm)
+            spectra, conj, conj_scaled, power, inv_norm = \
+                self._far_end_table(x[start:start + CHUNK * n])
+            k = len(inv_norm)
             for j in range(k):
                 i = k - 1 - j   # block j's newest row
                 self.x_spectra = spectra[i:i + m]
                 self.x_conj = conj[i:i + m]
+                self.x_conj_scaled = conj_scaled[i:i + m]
                 self.x_power = power[i:i + m]
                 sl = slice(start + j * n, start + (j + 1) * n)
-                e[sl], d_hat[sl] = self.process_block(y[sl], norm[i])
+                e[sl], d_hat[sl] = self.process_block(y[sl], inv_norm[i])
         return e, d_hat
 
     def _far_end_table(self, x: np.ndarray):
         """Far-end rows for the k blocks of x, newest first.
 
-        Returns (spectra, conj, power, norm). The first three have k + M - 1
-        rows: the chunk's blocks, then the M - 1 newest rows of the blocks
-        before it. norm has one row per block of x.
+        Returns (spectra, conj, conj_scaled, power, inv_norm). The first
+        four have k + M - 1 rows: the chunk's blocks, then the M - 1 newest
+        rows of the blocks before it. inv_norm, the reciprocal NLMS
+        normalization, has one row per block of x.
         """
         p = self.params
         n, m = p.frame_size, p.partitions
@@ -199,7 +225,9 @@ class Raec:
             norm += power[i:i + k]
         norm /= bias[:, None]
         norm += DELTA
-        return spectra, np.conj(spectra), power, norm
+        conj = np.conj(spectra)
+        inv_norm = np.divide(1.0, norm, out=norm)
+        return spectra, conj, (1 - COHERENCE_SMOOTHING) * conj, power, inv_norm
 
     def _coherence_factor(self, err_spec: np.ndarray) -> float:
         """Fraction of the error still explainable by the far end, in [0, 1].
@@ -214,49 +242,61 @@ class Raec:
         b = COHERENCE_SMOOTHING
         # err_cross = b * err_cross + ((1 - b) * conj(X)) * E, in place;
         # operand order matters: numpy's complex multiply is fused.
-        cross = np.multiply(1 - b, self.x_conj, out=self._work)
-        np.multiply(cross, err_spec, out=cross)
+        cross = np.multiply(self.x_conj_scaled, err_spec, out=self._work)
         np.multiply(b, self.err_cross, out=self.err_cross)
         self.err_cross += cross
-        self.err_power = b * self.err_power + (1 - b) * np.abs(err_spec) ** 2
+        # err_power = b * err_power + (1 - b) * |E|^2, in place
+        mag = np.square(np.abs(err_spec, out=self._err_mag), out=self._err_mag)
+        mag *= 1 - b
+        self.err_power *= b
+        self.err_power += mag
         self._coh_blocks += 1
-        den = self.x_power * self.err_power[None, :] + 1e-20
+        den = np.multiply(self.x_power, self.err_power, out=self._coh_den)
+        den += 1e-20
+        num = np.square(np.abs(self.err_cross, out=self._coh_num), out=self._coh_num)
+        num /= den
         # best partition's mean over bins: division by the bin count keeps
         # the order, so the largest sum divided gives the largest mean exactly
         rho = float(np.maximum.reduce(
-            np.add.reduce(np.abs(self.err_cross) ** 2 / den, axis=1))) / self.n_bins
+            np.add.reduce(num, axis=1, out=self._coh_sums))) / self.n_bins
         k_eff = min(self._coh_blocks, (1 + b) / (1 - b))
         floor = COHERENCE_BIAS_MULT / k_eff
         return min(1.0, max(rho - floor, 0.0) / COHERENCE_FULL_SCALE)
 
-    def _filter(self) -> np.ndarray:
-        spectrum = np.add.reduce(self.weights * self.x_spectra, axis=0)
+    def _filter(self, row: int) -> np.ndarray:
+        """The filter's echo estimate for this block, into _echo[row]."""
         n = self.params.frame_size
-        return np.fft.irfft(spectrum, n=2 * n)[n:]
+        product = np.multiply(self.weights, self.x_spectra, out=self._work)
+        np.add.reduce(product, axis=0, out=self._echo_spec)
+        return np.fft.irfft(self._echo_spec, n=2 * n, out=self._echo[row])[n:]
 
-    def process_block(self, y_block: np.ndarray, norm: np.ndarray):
+    def process_block(self, y_block: np.ndarray, inv_norm: np.ndarray):
         """One block's microphone-side work, called by `process`.
 
-        The far-end views x_spectra, x_conj and x_power and the NLMS
-        normalization norm are this block's rows of the far-end table.
-        Returns (e, d_hat) for y_block, both computed before this block's
-        weight updates.
+        The far-end views x_spectra, x_conj, x_conj_scaled and x_power and
+        the reciprocal NLMS normalization inv_norm are this block's rows of
+        the far-end table. Returns (e, d_hat) for y_block, both computed
+        before this block's weight updates. They are views of this stage's
+        work buffers, overwritten by the next block: `process` copies them
+        out.
         """
         p = self.params
         n = p.frame_size
-        d_hat = self._filter()
-        e = y_block - d_hat
-
         pad = self._err_pad
         grad = self._work
         step_conj = self._step_conj
+        d_hat = self._filter(0)
+        e = np.subtract(y_block, d_hat, out=pad[0, n:])
+
         e_adapt = e
         for it in range(p.iterations):
             burst = None
             if it == 0:
                 # One partition yields the median of |e| and, since capping
                 # at the clip limit keeps the order, the capped median too.
-                lo, hi = np.partition(np.abs(e), self._mid_ranks)[self._mid_ranks].tolist()
+                mags = np.abs(e, out=self._abs_e)
+                mags.partition(self._mid_ranks)
+                lo, hi = mags[self._mid_ranks].tolist()
                 raw = (lo + hi) / 2 / MEDIAN_TO_SIGMA
                 if raw > SILENCE_LEVEL:
                     limit = p.gamma * self.scale
@@ -269,7 +309,7 @@ class Raec:
                     a = p.alpha if capped < self.scale else SCALE_RISE
                     self.scale = max(a * self.scale + (1.0 - a) * capped, SCALE_FLOOR)
             else:
-                e_adapt = y_block - self._filter()
+                e_adapt = np.subtract(y_block, self._filter(1), out=pad[1, n:])
             # clip_error in place, with the scale this block's update has
             # already moved
             limit = p.gamma * self.scale
@@ -277,25 +317,25 @@ class Raec:
             if burst is None:
                 # later iteration, or a silent block whose gradients vanish
                 # anyway: keep the previous step factor
-                err_spec = np.fft.rfft(pad[1])
+                err_spec = np.fft.rfft(pad[1], out=self._err_specs[1])
             else:
                 # one transform for the coherence error and the clipped error
-                pad[0, n:] = e
-                err_specs = np.fft.rfft(pad)
+                err_specs = np.fft.rfft(pad, out=self._err_specs)
                 self.step_factor = burst * self._coherence_factor(err_specs[0])
                 err_spec = err_specs[1]
             if it == 0:
                 # the step factor is settled for the block from here on
                 np.multiply(p.mu * self.step_factor, self.x_conj, out=step_conj)
-            # grad = ((mu * step) * conj(X)) * E / norm, in place
+            # grad = ((mu * step) * conj(X)) * E * (1 / norm), in place
             np.multiply(step_conj, err_spec, out=grad)
-            np.divide(grad, norm, out=grad)
+            np.multiply(grad, inv_norm, out=grad)
             np.add(self.weights, grad, out=grad)
             # Gradient constraint: keep each partition's response causal
             # within its block, removing circular-convolution wrap: only the
-            # first n taps go back, zero-padded to 2n by the transform.
-            w_time = np.fft.irfft(grad, n=2 * n, axis=1)
-            self.weights = np.fft.rfft(w_time[:, :n], n=2 * n, axis=1)
+            # first n taps go back, zero-padded to 2n.
+            w_time = np.fft.irfft(grad, n=2 * n, axis=1, out=self._w_time)
+            w_time[:, n:] = 0.0
+            np.fft.rfft(w_time, axis=1, out=self.weights)
         return e, d_hat
 
     def equivalent_response(self) -> np.ndarray:

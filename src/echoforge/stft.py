@@ -26,6 +26,9 @@ FRAME_LEN = 512
 HOP = 256
 N_BINS = FRAME_LEN // 2 + 1
 WINDOW = np.sin(np.pi * (np.arange(FRAME_LEN) + 0.5) / FRAME_LEN)
+# Frames per inverse transform in synthesize: 128 KiB of transforms at a
+# time, whatever the stream length.
+SYNTHESIS_CHUNK = 32
 
 
 def analyze(buffer: AudioBuffer, first: int = 0, count: int | None = None) -> np.ndarray:
@@ -74,7 +77,9 @@ def synthesize(frames: np.ndarray, length: int | None = None) -> AudioBuffer:
     """Inverse transform via normalized weighted overlap-add.
 
     Round-trips analyze() exactly (up to float precision). `length` trims
-    the trailing analysis padding.
+    the trailing analysis padding. The frames are inverse-transformed,
+    windowed and overlap-added SYNTHESIS_CHUNK at a time, so beyond the
+    output only one chunk's inverse transforms are held.
     """
     frames = np.asarray(frames)
     if frames.ndim != 2 or frames.shape[1] != N_BINS:
@@ -85,16 +90,19 @@ def synthesize(frames: np.ndarray, length: int | None = None) -> AudioBuffer:
         length = total
     out = np.zeros(max(total, length))
     if n_frames:
-        blocks = np.fft.irfft(frames, n=FRAME_LEN, axis=1)
-        blocks *= WINDOW
-        # Frame m's second half overlaps frame m+1's first half. Each output
-        # sample sums at most two halves into zero, and two-term sums do not
-        # depend on their order, so these are the bits of a frame-by-frame
-        # loop. The adds go through (n_frames, HOP) views, in place.
-        later = out[HOP:total].reshape(n_frames, HOP)
-        later += blocks[:, HOP:]
-        earlier = out[: total - HOP].reshape(n_frames, HOP)
-        earlier += blocks[:, :HOP]
+        for first in range(0, n_frames, SYNTHESIS_CHUNK):
+            blocks = np.fft.irfft(frames[first:first + SYNTHESIS_CHUNK], n=FRAME_LEN, axis=1)
+            blocks *= WINDOW
+            # Frame m's second half overlaps frame m+1's first half. Each
+            # output sample sums at most two halves into zero, and two-term
+            # sums do not depend on their order, so these are the bits of a
+            # frame-by-frame loop. The adds go through (frames, HOP) views,
+            # in place.
+            start, stop = first * HOP, (first + len(blocks)) * HOP
+            later = out[start + HOP: stop + HOP].reshape(len(blocks), HOP)
+            later += blocks[:, HOP:]
+            earlier = out[start:stop].reshape(len(blocks), HOP)
+            earlier += blocks[:, :HOP]
         # Normalize by the squared window summed the same way, which repeats
         # every hop: the first half frame, second plus first half in the
         # interior, the second half at the end. Past the frames the output

@@ -235,7 +235,8 @@ class TestInputsUntouched:
 
 # Bound on the traced peak of process_stream, in multiples of one input's
 # float64 size. Holding four whole-stream spectrograms it measured about
-# 20x; analysing a chunk at a time it measures about 5.5x on 30 s.
+# 20x; analysing a chunk at a time it measures about 5.5x on 30 s, and
+# 4.7x with synthesis a chunk at a time too.
 PEAK_PER_INPUT = 9.0
 
 

@@ -261,10 +261,15 @@ class PlainRaec:
         return e, d_hat
 
 
+# The GA's box in params.SCHEMA: mu, gamma and alpha set the far-end table's
+# power, normalization and scaled-conjugate rows as well as the updates.
 raec_shapes = st.builds(RaecParams,
                         frame_size=st.sampled_from([64, 128, 256, 512, 1024]),
                         partitions=st.integers(1, 16),
-                        iterations=st.integers(1, 4))
+                        iterations=st.integers(1, 4),
+                        mu=st.floats(0.05, 1.9),
+                        gamma=st.floats(0.5, 4.0),
+                        alpha=st.floats(0.5, 0.995))
 block_kinds = st.lists(st.sampled_from(BLOCK_KINDS), min_size=1, max_size=24)
 
 
@@ -351,15 +356,17 @@ class TestExactUpdates:
 
     def test_far_end_table_bounded_on_a_long_stream(self, monkeypatch):
         # Every block of a 60 s stream reads its far-end rows from a table
-        # of at most CHUNK + M - 1 rows, whatever the stream length.
+        # of at most CHUNK + M - 1 rows (CHUNK for the normalization),
+        # whatever the stream length.
         p = RaecParams()
         tables = []
         block = Raec.process_block
 
-        def spy(self, y_block, norm):
+        def spy(self, y_block, inv_norm):
             tables.append((self.x_spectra.base.shape[0], self.x_conj.base.shape[0],
-                           self.x_power.base.shape[0], norm.base.shape[0]))
-            return block(self, y_block, norm)
+                           self.x_conj_scaled.base.shape[0], self.x_power.base.shape[0],
+                           inv_norm.base.shape[0]))
+            return block(self, y_block, inv_norm)
 
         monkeypatch.setattr(Raec, "process_block", spy)
         rng = np.random.default_rng(17)
@@ -367,5 +374,52 @@ class TestExactUpdates:
         run_blocks(Raec(p), x, 0.5 * x)
         rows = raec.CHUNK + p.partitions - 1
         assert len(tables) == 60 * FS // p.frame_size
-        assert max(max(t[:3]) for t in tables) <= rows
-        assert max(t[3] for t in tables) <= raec.CHUNK
+        assert max(max(t[:4]) for t in tables) <= rows
+        assert max(t[4] for t in tables) <= raec.CHUNK
+
+
+class TestWorkBuffers:
+    def test_interleaved_instances_match_each_run_alone(self):
+        # Each stage owns its work buffers and hands out new arrays: no array
+        # of one stage overlaps another's or an output, stages fed call by
+        # call in turn give the outputs each gives alone, and what one call
+        # returned is untouched by the calls after it. Two stages share a
+        # shape and see different signals; the third has another shape.
+        shapes = [RaecParams(), RaecParams(),
+                  RaecParams(frame_size=128, partitions=3, iterations=3, mu=1.2,
+                             gamma=2.5, alpha=0.7)]
+        n = 256
+        signals = []
+        for seed in (31, 32, 31):
+            blocks = list(_blocks(n, ["echo"] * 24 + ["burst", "silent", "far_end_off"] * 6,
+                                  seed))
+            signals.append((np.concatenate([b[0] for b in blocks]),
+                            np.concatenate([b[1] for b in blocks])))
+        # calls of 1, 2 and 3 blocks in turn over the 42 blocks
+        bounds = np.cumsum([0] + [1, 2, 3] * 7) * n
+        calls = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
+
+        alone = []
+        for p, (x, y) in zip(shapes, signals):
+            aec = Raec(p)
+            alone.append([tuple(o.copy() for o in aec.process(x[sl], y[sl])) for sl in calls])
+
+        stages = [Raec(p) for p in shapes]
+        returned = [[] for _ in stages]
+        for c, sl in enumerate(calls):
+            for k, (aec, (x, y)) in enumerate(zip(stages, signals)):
+                e, d_hat = aec.process(x[sl], y[sl])
+                assert np.array_equal(e, alone[k][c][0])
+                assert np.array_equal(d_hat, alone[k][c][1])
+                returned[k].append((e, d_hat))
+        buffers = [[v for v in vars(aec).values() if isinstance(v, np.ndarray)]
+                   for aec in stages]
+        outputs = [a for calls_out in returned for pair in calls_out for a in pair]
+        for k, own in enumerate(buffers):
+            others = [b for j, bufs in enumerate(buffers) if j != k for b in bufs]
+            for buf in own:
+                assert not any(np.shares_memory(buf, b) for b in others + outputs)
+        for k in range(len(stages)):
+            for (e, d_hat), (e_ref, d_hat_ref) in zip(returned[k], alone[k]):
+                assert e.tobytes() == e_ref.tobytes()
+                assert d_hat.tobytes() == d_hat_ref.tobytes()

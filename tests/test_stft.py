@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,8 +11,8 @@ from echoforge.audio import AudioBuffer, read_wav, write_wav
 from echoforge.cli import load_run_config
 from echoforge.dtp import DtpParams
 from echoforge.errors import ConfigError, InputError
-from echoforge.stft import (FRAME_LEN, HOP, N_BINS, SAMPLE_RATE, WINDOW, analyze,
-                            synthesize)
+from echoforge.stft import (FRAME_LEN, HOP, N_BINS, SAMPLE_RATE, SYNTHESIS_CHUNK, WINDOW,
+                            analyze, synthesize)
 from echoforge.vad import VadParams
 
 FS = 16000
@@ -103,6 +104,21 @@ def _frame_by_frame_overlap_add(frames, length):
 
 
 class TestSynthesize:
+    def test_traced_peak_below_one_inverse_array_beyond_the_output(self):
+        # 60 s of frames: the inverse transforms of all of them would be
+        # 15 MB; a chunk of them is 128 KiB.
+        frames = analyze(_random_buffer(60 * FS, seed=3))
+        length = 60 * FS
+        inverse = len(frames) * FRAME_LEN * 8
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = synthesize(frames, length=length)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert out.samples.base.nbytes + inverse / 4 > peak, peak / inverse
+
     @pytest.mark.parametrize("n", [512, 1000, 4096, 12345],
                              ids=lambda n: f"{n}-sqrt-hann")
     def test_round_trip(self, n):
@@ -111,7 +127,11 @@ class TestSynthesize:
         assert out.sample_rate == SAMPLE_RATE
         assert np.max(np.abs(out.samples - x.samples)) <= 1e-6
 
-    @pytest.mark.parametrize("n", [0, 1, 255, 256, 257, 511, 512, 513, 16000])
+    # n = 16000 is 63 frames; the next three lengths give one frame fewer
+    # than, exactly and one more than a synthesis chunk; 23417 ends mid-chunk.
+    @pytest.mark.parametrize("n", [0, 1, 255, 256, 257, 511, 512, 513, 16000,
+                                   (SYNTHESIS_CHUNK - 1) * HOP, SYNTHESIS_CHUNK * HOP,
+                                   (SYNTHESIS_CHUNK + 1) * HOP, 23417])
     def test_matches_frame_by_frame_overlap_add(self, n):
         rng = np.random.default_rng(n)
         frames = analyze(AudioBuffer(rng.standard_normal(n), FS))
