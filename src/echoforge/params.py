@@ -1,12 +1,13 @@
 """The full tunable parameter set: names, kinds, bounds, defaults.
 
-Every stage parameter lives under a dotted name (``raec1.mu``,
-``ns.g_min``, ...) so the same flat dictionary serves the config files,
-the CLI and the genetic tuner. Kinds drive how the tuner samples and
-mutates a gene: ``real`` and ``int`` are uniform in the bound interval,
-``log`` works in log10 space, ``pow2`` walks power-of-two exponents.
-Threshold-like quantities are carried in dB and converted when the stage
-parameter objects are built.
+Every stage parameter is a gene with a dotted name, ``<prefix>.<name>``,
+so the same flat dictionary serves the config files, the CLI and the
+genetic tuner. Kinds drive how the tuner samples and mutates a gene:
+``real`` and ``int`` are uniform in the bound interval, ``log`` works in
+log10 space, ``pow2`` walks power-of-two exponents. One rule builds the
+stages: gene ``<prefix>.<name>`` sets field ``name`` of the prefix's stage
+in STAGES, an ``int`` or ``pow2`` gene through ``int()``, and a
+``<name>_db`` gene sets ``name`` to the linear ratio ``10 ** (v / 10)``.
 """
 
 from __future__ import annotations
@@ -118,6 +119,21 @@ class PipelineParams:
     vad: VadParams
 
 
+# gene prefix -> (PipelineParams field, stage class)
+STAGES = {
+    "raec1": ("raec1", RaecParams),
+    "raec2": ("raec2", RaecParams),
+    "dtp": ("dtp", DtpParams),
+    "rpe": ("rpe", RpeParams),
+    "npe": ("npe", NpeParams),
+    "ns": ("suppressor", SuppressorParams),
+    "vad": ("vad", VadParams),
+}
+
+# The suppressor's mask thresholds, in dB; the first must lie below the second.
+THETA_PAIR = ("ns.theta1_db", "ns.theta2_db")
+
+
 def build_pipeline_params(overrides: dict | None = None,
                           cap_at_unity: bool = False) -> PipelineParams:
     """Assemble stage parameter objects from a flat (partial) dictionary.
@@ -131,49 +147,17 @@ def build_pipeline_params(overrides: dict | None = None,
     if overrides:
         validate_params(overrides)
         p.update(overrides)
-
-    def raec(prefix: str) -> RaecParams:
-        return RaecParams(
-            frame_size=int(p[f"{prefix}.frame_size"]),
-            partitions=int(p[f"{prefix}.partitions"]),
-            iterations=int(p[f"{prefix}.iterations"]),
-            mu=p[f"{prefix}.mu"],
-            gamma=p[f"{prefix}.gamma"],
-            alpha=p[f"{prefix}.alpha"],
-        )
-
-    theta1 = 10.0 ** (p["ns.theta1_db"] / 10.0)
-    theta2 = 10.0 ** (p["ns.theta2_db"] / 10.0)
-    if theta1 >= theta2:
+    low, high = THETA_PAIR
+    if 10.0 ** (p[low] / 10.0) >= 10.0 ** (p[high] / 10.0):
         raise ConfigError(
-            f"need theta1 < theta2, got ns.theta1_db={p['ns.theta1_db']}"
-            f" >= ns.theta2_db={p['ns.theta2_db']}")
-    return PipelineParams(
-        raec1=raec("raec1"),
-        raec2=raec("raec2"),
-        dtp=DtpParams(
-            a01=p["dtp.a01"], a10=p["dtp.a10"],
-            b01=p["dtp.b01"], b10=p["dtp.b10"],
-            alpha=p["dtp.alpha"], beta=p["dtp.beta"],
-            k_begin=int(p["dtp.k_begin"]), k_end=int(p["dtp.k_end"]),
-            frame_duration=p["dtp.frame_duration"], tau=p["dtp.tau"],
-        ),
-        rpe=RpeParams(
-            partitions_high=int(p["rpe.partitions_high"]),
-            partitions_low=int(p["rpe.partitions_low"]),
-            alpha_high=p["rpe.alpha_high"], alpha_low=p["rpe.alpha_low"],
-        ),
-        npe=NpeParams(
-            xi_h1=10.0 ** (p["npe.xi_h1_db"] / 10.0),
-            p_threshold=p["npe.p_threshold"],
-            alpha_p=p["npe.alpha_p"], alpha_npe=p["npe.alpha_npe"],
-        ),
-        suppressor=SuppressorParams(
-            alpha_dd=p["ns.alpha_dd"], g_min=p["ns.g_min"],
-            theta1=theta1, theta2=theta2, mask_alpha=p["ns.mask_alpha"],
-            cap_at_unity=cap_at_unity,
-        ),
-        vad=VadParams(
-            threshold=p["vad.threshold"], hangover_frames=int(p["vad.hangover"]),
-        ),
-    )
+            f"need theta1 < theta2, got {low}={p[low]} >= {high}={p[high]}")
+    kwargs = {prefix: {} for prefix in STAGES}
+    kwargs["ns"]["cap_at_unity"] = cap_at_unity
+    for f in SCHEMA:
+        prefix, name = f.name.split(".")
+        value = int(p[f.name]) if f.kind in ("int", "pow2") else p[f.name]
+        if name.endswith("_db"):
+            name, value = name.removesuffix("_db"), 10.0 ** (value / 10.0)
+        kwargs[prefix][name] = value
+    return PipelineParams(**{attr: cls(**kwargs[prefix])
+                             for prefix, (attr, cls) in STAGES.items()})

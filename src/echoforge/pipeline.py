@@ -13,15 +13,16 @@ deterministic given inputs and parameters; the per-stream estimator state
 (held inside process_stream) is strictly sequential and never shared
 between streams.
 
-Memory: no whole-stream spectrogram of an input is built, inputs whose
-lengths match are read in place, not copied, and synthesis
-inverse-transforms a chunk of frames at a time. What grows with the
-stream is the canceler's time-domain outputs and the enhanced frames
-(N_BINS complex values per hop, about twice one input's float64 size).
-The peak is in the frame loop, which holds both: about 4.4 times one
-input's size beyond the inputs on a 60 s stream. The traced
-(tracemalloc) peak measured 7.7 MB for a 10 s stream and 33.5 MB for
-60 s.
+Memory: no whole-stream spectrogram of an input is built, and synthesis
+inverse-transforms a chunk of frames at a time. The inputs are copied
+only to zero-pad the shorter one and, in each canceler stage, to
+zero-pad a stream that is not a whole number of that stage's blocks.
+What grows with the stream is the canceler's time-domain outputs and the
+enhanced frames (N_BINS complex values per hop, about twice one input's
+float64 size). The peak is in the frame loop, which holds both: about
+4.4 times one input's size beyond the inputs on a 60 s stream. The
+traced (tracemalloc) peak measured 7.7 MB for a 10 s stream and 33.5 MB
+for 60 s.
 
 Input is at SAMPLE_RATE (16 kHz). Output sample n depends on input
 samples up to n + FRAME_LEN - 1 (one analysis frame of lookahead from the

@@ -40,7 +40,7 @@ import numpy as np
 from .audio import read_wav, write_wav
 from .errors import ConfigError, InputError
 from .metrics import segmental_snr_improvement
-from .params import SCHEMA, build_pipeline_params, field, validate_params
+from .params import SCHEMA, THETA_PAIR, Field, build_pipeline_params, validate_params
 from .pipeline import process_stream
 from .stft import SAMPLE_RATE
 
@@ -82,7 +82,7 @@ def default_bounds() -> dict:
 def validate_bounds(bounds: dict) -> None:
     """Bounds must cover every tunable, each bound must be a valid value of
     its parameter (inside the schema box, on an int or pow2 gene's
-    lattice), and lo <= hi."""
+    lattice), lo <= hi, and they must admit an ordered theta pair."""
     for f in SCHEMA:
         if f.name not in bounds:
             raise ConfigError(f"bounds missing parameter {f.name!r}")
@@ -94,24 +94,28 @@ def validate_bounds(bounds: dict) -> None:
                 raise ConfigError(f"bounds.{name}.{which}: {exc}") from None
         if lo > hi:
             raise ConfigError(f"{name}: bound lo {lo} > hi {hi}")
+    low, high = THETA_PAIR
+    if bounds[low][0] >= bounds[high][1]:
+        raise ConfigError(
+            f"bounds.{low}.min = {bounds[low][0]} >= bounds.{high}.max = "
+            f"{bounds[high][1]}: no candidate can have {low} < {high}")
 
 
-def _sample_gene(name: str, lo: float, hi: float, rng: np.random.Generator):
-    kind = field(name).kind
-    if kind == "real":
+def _sample_gene(f: Field, lo: float, hi: float, rng: np.random.Generator):
+    if f.kind == "real":
         return float(rng.uniform(lo, hi))
-    if kind == "int":
+    if f.kind == "int":
         return int(rng.integers(int(lo), int(hi) + 1))
-    if kind == "log":
+    if f.kind == "log":
         return float(10.0 ** rng.uniform(math.log10(lo), math.log10(hi)))
-    if kind == "pow2":
+    if f.kind == "pow2":
         e_lo, e_hi = int(math.log2(lo)), int(math.log2(hi))
         return int(2 ** rng.integers(e_lo, e_hi + 1))
-    raise ConfigError(f"unknown gene kind {kind!r}")
+    raise ConfigError(f"unknown gene kind {f.kind!r}")
 
 
 def sample_uniform(bounds: dict, rng: np.random.Generator) -> dict:
-    return {f.name: _sample_gene(f.name, *bounds[f.name], rng) for f in SCHEMA}
+    return {f.name: _sample_gene(f, *bounds[f.name], rng) for f in SCHEMA}
 
 
 def mutate(params: dict, bounds: dict, rate: float, scale: float,
@@ -196,13 +200,30 @@ def _evaluate(objective, population, scores, jobs: int):
     return scores
 
 
+def _check_incumbent(incumbent: dict, bounds: dict) -> None:
+    try:
+        validate_params(incumbent)
+    except ConfigError as exc:
+        raise ConfigError(f"incumbent: {exc}") from None
+    for f in SCHEMA:
+        if f.name not in incumbent:
+            raise ConfigError(f"incumbent: missing parameter {f.name!r}")
+        lo, hi = bounds[f.name]
+        if not lo <= incumbent[f.name] <= hi:
+            raise ConfigError(f"incumbent: {f.name} = {incumbent[f.name]} outside "
+                              f"the tuning bounds [{lo}, {hi}]")
+
+
 def ga_run(cfg: GaConfig, bounds: dict, objective, incumbent: dict | None = None) -> GaResult:
     """Maximize `objective(params) -> float` inside `bounds`.
 
-    The incumbent, when given, joins the initial population unchanged.
+    The incumbent, when given, joins the initial population unchanged; it
+    must be a complete parameter set inside `bounds`.
     Fixed (cfg, bounds, incumbent, objective) reproduce the same result.
     """
     validate_bounds(bounds)
+    if incumbent is not None:
+        _check_incumbent(incumbent, bounds)
     rng = np.random.default_rng(cfg.seed)
     population = [sample_uniform(bounds, rng) for _ in range(cfg.population)]
     if incumbent is not None:

@@ -22,12 +22,11 @@ from .stft import FRAME_LEN, HOP
 @dataclass(frozen=True)
 class VadParams:
     threshold: float = 38.55   # 0.15 per bin over the 257 bins of the stft clock
-    hangover_frames: int = 8
+    hangover: int = 8
 
     def __post_init__(self):
-        if self.hangover_frames < 0:
-            raise ConfigError(
-                f"hangover_frames must be >= 0, got {self.hangover_frames}")
+        if self.hangover < 0:
+            raise ConfigError(f"hangover must be >= 0, got {self.hangover}")
 
 
 def vad_statistic(xi, gamma):
@@ -46,7 +45,7 @@ class VadDecider:
     def decide(self, statistic: float) -> bool:
         raw = statistic > self.params.threshold
         if raw:
-            self._hang = self.params.hangover_frames
+            self._hang = self.params.hangover
             return True
         if self._hang > 0:
             self._hang -= 1

@@ -238,20 +238,25 @@ class TestCorpusCommand:
                      "--out", str(tmp_path / "x")]) == 2
 
 
+def _smoke_corpus(tmp_path):
+    """A two-item corpus at a fixed SER and SNR; returns its directory."""
+    paths = _write_sources(tmp_path)
+    corpus_cfg = tmp_path / "corpus.cfg"
+    corpus_cfg.write_text(
+        f"corpus.speech = {paths['sp']}\n"
+        f"corpus.music = {paths['mu']}\n"
+        f"corpus.noise.babble = {paths['no']}\n"
+        "corpus.ser_min = -10\ncorpus.ser_max = -10\n"
+        "corpus.snr_min = 10\ncorpus.snr_max = 10\n"
+        "corpus.sigma3 = 0.005\ncorpus.seed = 6\n")
+    corpus_dir = tmp_path / "cc"
+    assert main(["corpus", str(corpus_cfg), "2", "--out", str(corpus_dir)]) == 0
+    return corpus_dir
+
+
 class TestTuneCommand:
     def test_degenerate_tune_round_trips_config(self, tmp_path, wav_pair):
-        paths = _write_sources(tmp_path)
-        corpus_cfg = tmp_path / "corpus.cfg"
-        corpus_cfg.write_text(
-            f"corpus.speech = {paths['sp']}\n"
-            f"corpus.music = {paths['mu']}\n"
-            f"corpus.noise.babble = {paths['no']}\n"
-            "corpus.ser_min = -10\ncorpus.ser_max = -10\n"
-            "corpus.snr_min = 10\ncorpus.snr_max = 10\n"
-            "corpus.sigma3 = 0.005\ncorpus.seed = 6\n")
-        corpus_dir = tmp_path / "cc"
-        assert main(["corpus", str(corpus_cfg), "2", "--out", str(corpus_dir)]) == 0
-
+        corpus_dir = _smoke_corpus(tmp_path)
         ga_cfg = tmp_path / "ga.cfg"
         ga_cfg.write_text(
             "ga.population = 4\nga.elite = 1\nga.generations = 1\n"
@@ -268,6 +273,18 @@ class TestTuneCommand:
         mic, ref = wav_pair
         assert main(["enhance", mic, ref, str(tmp_path / "o.wav"),
                      "--config", str(best)]) == 0
+
+    def test_incumbent_outside_bounds_exit_3_naming_gene(self, tmp_path, capsys):
+        corpus_dir = _smoke_corpus(tmp_path)
+        ga_cfg = tmp_path / "ga.cfg"
+        ga_cfg.write_text("ga.population = 2\nga.elite = 1\nga.generations = 1\n"
+                          "bounds.raec1.mu.min = 0.05\nbounds.raec1.mu.max = 0.3\n")
+        best = tmp_path / "best.cfg"
+        code = main(["tune", str(corpus_dir / "manifest.json"), "--ga-config", str(ga_cfg),
+                     "--out", str(best), "--seed-incumbent"])
+        assert code == 3
+        assert "raec1.mu = 0.5 outside" in capsys.readouterr().err
+        assert not best.exists()
 
     @pytest.mark.parametrize("text", ["not json {", "{}", '{"items": {}}', '{"items": []}',
                                       '{"items": [{"item_id": 0}]}',
@@ -346,6 +363,17 @@ class TestTuneCommand:
                      "--out", str(tmp_path / "b.cfg")])
         assert code == 3
         assert key in capsys.readouterr().err
+
+    def test_theta_bounds_without_an_ordered_pair_exit_3(self, tmp_path, capsys):
+        ga_cfg = tmp_path / "ga.cfg"
+        ga_cfg.write_text("bounds.ns.theta1_db.min = 5\nbounds.ns.theta2_db.max = 0\n")
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps({"items": []}))
+        code = main(["tune", str(manifest), "--ga-config", str(ga_cfg),
+                     "--out", str(tmp_path / "b.cfg")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "bounds.ns.theta1_db.min" in err and "bounds.ns.theta2_db.max" in err
 
 
 class TestRemovedOptions:

@@ -1,3 +1,7 @@
+from collections import Counter
+from dataclasses import fields
+
+import numpy as np
 import pytest
 
 from echoforge.config import (as_bool, as_float, as_int, as_paths,
@@ -5,11 +9,12 @@ from echoforge.config import (as_bool, as_float, as_int, as_paths,
 from echoforge.dtp import DtpParams
 from echoforge.errors import ConfigError
 from echoforge.npe import NpeParams
-from echoforge.params import (SCHEMA, PipelineParams, build_pipeline_params,
+from echoforge.params import (SCHEMA, STAGES, PipelineParams, build_pipeline_params,
                               default_params, field, validate_params)
 from echoforge.raec import RaecParams
 from echoforge.rpe import RpeParams
 from echoforge.suppressor import SuppressorParams
+from echoforge.tuner import default_bounds, sample_uniform
 from echoforge.vad import VadParams
 
 
@@ -99,7 +104,7 @@ class TestBuildPipelineParams:
     def test_overrides_apply(self):
         params = build_pipeline_params({"raec1.mu": 0.25, "vad.hangover": 3})
         assert params.raec1.mu == 0.25
-        assert params.vad.hangover_frames == 3
+        assert params.vad.hangover == 3
 
     def test_threshold_order_checked_by_name(self):
         with pytest.raises(ConfigError, match="theta"):
@@ -108,3 +113,97 @@ class TestBuildPipelineParams:
     def test_db_fields_converted(self):
         params = build_pipeline_params({"npe.xi_h1_db": 20.0})
         assert params.npe.xi_h1 == pytest.approx(100.0)
+
+
+def _explicit_build(p: dict, cap_at_unity: bool = False) -> PipelineParams:
+    """Reference: every gene written out by hand, as the builder once was."""
+    def raec(prefix: str) -> RaecParams:
+        return RaecParams(
+            frame_size=int(p[f"{prefix}.frame_size"]),
+            partitions=int(p[f"{prefix}.partitions"]),
+            iterations=int(p[f"{prefix}.iterations"]),
+            mu=p[f"{prefix}.mu"],
+            gamma=p[f"{prefix}.gamma"],
+            alpha=p[f"{prefix}.alpha"],
+        )
+
+    theta1 = 10.0 ** (p["ns.theta1_db"] / 10.0)
+    theta2 = 10.0 ** (p["ns.theta2_db"] / 10.0)
+    if theta1 >= theta2:
+        raise ConfigError(
+            f"need theta1 < theta2, got ns.theta1_db={p['ns.theta1_db']}"
+            f" >= ns.theta2_db={p['ns.theta2_db']}")
+    return PipelineParams(
+        raec1=raec("raec1"),
+        raec2=raec("raec2"),
+        dtp=DtpParams(
+            a01=p["dtp.a01"], a10=p["dtp.a10"],
+            b01=p["dtp.b01"], b10=p["dtp.b10"],
+            alpha=p["dtp.alpha"], beta=p["dtp.beta"],
+            k_begin=int(p["dtp.k_begin"]), k_end=int(p["dtp.k_end"]),
+            frame_duration=p["dtp.frame_duration"], tau=p["dtp.tau"],
+        ),
+        rpe=RpeParams(
+            partitions_high=int(p["rpe.partitions_high"]),
+            partitions_low=int(p["rpe.partitions_low"]),
+            alpha_high=p["rpe.alpha_high"], alpha_low=p["rpe.alpha_low"],
+        ),
+        npe=NpeParams(
+            xi_h1=10.0 ** (p["npe.xi_h1_db"] / 10.0),
+            p_threshold=p["npe.p_threshold"],
+            alpha_p=p["npe.alpha_p"], alpha_npe=p["npe.alpha_npe"],
+        ),
+        suppressor=SuppressorParams(
+            alpha_dd=p["ns.alpha_dd"], g_min=p["ns.g_min"],
+            theta1=theta1, theta2=theta2, mask_alpha=p["ns.mask_alpha"],
+            cap_at_unity=cap_at_unity,
+        ),
+        vad=VadParams(
+            threshold=p["vad.threshold"], hangover=int(p["vad.hangover"]),
+        ),
+    )
+
+
+def _built(p: dict, cap_at_unity: bool, build):
+    """repr of the built stages (it shows each value's type), or the error."""
+    try:
+        return repr(build(p, cap_at_unity=cap_at_unity))
+    except ConfigError as exc:
+        return f"ConfigError: {exc}"
+
+
+class TestSchemaRule:
+    @pytest.mark.parametrize("cap_at_unity", [False, True])
+    def test_defaults_match_explicit_mapping(self, cap_at_unity):
+        p = default_params()
+        assert build_pipeline_params(p, cap_at_unity) == _explicit_build(p, cap_at_unity)
+        assert _built(p, cap_at_unity, build_pipeline_params) == \
+            _built(p, cap_at_unity, _explicit_build)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_uniform_draws_match_explicit_mapping(self, seed):
+        rng = np.random.default_rng(seed)
+        bounds = default_bounds()
+        infeasible = 0
+        for i in range(5000):
+            p = sample_uniform(bounds, rng)
+            if i % 2:  # as a config file gives them: every value a float
+                p = {name: float(v) for name, v in p.items()}
+            cap_at_unity = i % 4 >= 2
+            want = _built(p, cap_at_unity, _explicit_build)
+            assert _built(p, cap_at_unity, build_pipeline_params) == want, p
+            infeasible += want.startswith("ConfigError")
+        # about one draw in eight has an unordered theta pair
+        assert 400 < infeasible < 850
+
+    def test_every_stage_field_is_set_by_one_gene(self):
+        set_by = Counter()
+        for f in SCHEMA:
+            prefix, name = f.name.split(".")
+            set_by[STAGES[prefix][0], name.removesuffix("_db")] += 1
+        stage_fields = {(attr, stage_field.name) for attr, cls in STAGES.values()
+                        for stage_field in fields(cls)}
+        assert set(set_by) == stage_fields - {("suppressor", "cap_at_unity")}
+        assert set(set_by.values()) == {1}
+        assert [attr for attr, _ in STAGES.values()] == \
+            [f.name for f in fields(PipelineParams)]

@@ -167,6 +167,41 @@ class TestGaRun:
         with pytest.raises(ConfigError, match="raec1.mu"):
             validate_bounds(bounds)
 
+    @pytest.mark.parametrize("theta1_min,theta2_max", [(5.0, 0.0), (0.0, 0.0)])
+    def test_theta_bounds_without_an_ordered_pair_rejected(self, theta1_min, theta2_max):
+        # every candidate would need ns.theta1_db >= ns.theta2_db and score -inf
+        bounds = default_bounds()
+        bounds["ns.theta1_db"] = (theta1_min, 10.0)
+        bounds["ns.theta2_db"] = (-10.0, theta2_max)
+        with pytest.raises(ConfigError, match=r"bounds\.ns\.theta1_db\.min.*"
+                                              r"bounds\.ns\.theta2_db\.max"):
+            validate_bounds(bounds)
+
+    def test_theta_bounds_with_an_ordered_pair_accepted(self):
+        bounds = default_bounds()
+        bounds["ns.theta1_db"] = (-0.5, 10.0)
+        bounds["ns.theta2_db"] = (-10.0, 0.0)
+        validate_bounds(bounds)
+
+    def test_incumbent_outside_bounds_rejected(self):
+        bounds = default_bounds()
+        bounds["raec1.mu"] = (0.05, 0.3)  # the default incumbent has 0.5
+        with pytest.raises(ConfigError, match=r"raec1\.mu = 0\.5 outside"):
+            ga_run(GaConfig(population=4, elite=1, generations=1, seed=0),
+                   bounds, sphere, incumbent=default_params())
+
+    @pytest.mark.parametrize("change,message", [
+        ({"ns.g_min": None}, "missing parameter 'ns.g_min'"),
+        ({"raec1.turbo": 1.0}, "unknown parameter 'raec1.turbo'"),
+    ])
+    def test_incomplete_incumbent_rejected(self, change, message):
+        incumbent = default_params()
+        incumbent.update(change)
+        incumbent = {k: v for k, v in incumbent.items() if v is not None}
+        with pytest.raises(ConfigError, match=f"incumbent: {message}"):
+            ga_run(GaConfig(population=4, elite=1, generations=1, seed=0),
+                   default_bounds(), sphere, incumbent=incumbent)
+
     @pytest.mark.parametrize("name,bound,message", [
         ("raec1.frame_size", (100, 1024), "power of two"),
         ("vad.hangover", (2.5, 32), "integer"),

@@ -45,24 +45,24 @@ class TestStatistic:
 
 class TestDecider:
     def test_boundary_is_inactive(self):
-        params = VadParams(threshold=5.0, hangover_frames=0)
+        params = VadParams(threshold=5.0, hangover=0)
         assert VadDecider(params).decide(5.0) is False
         assert VadDecider(params).decide(5.0 + 1e-9) is True
 
     def test_hangover_extends_activity(self):
-        params = VadParams(threshold=0.5, hangover_frames=3)
+        params = VadParams(threshold=0.5, hangover=3)
         dec = VadDecider(params)
         flags = [dec.decide(s) for s in [1.0, 0.0, 0.0, 0.0, 0.0, 0.0]]
         assert flags == [True, True, True, True, False, False]
 
     def test_zero_hangover_is_raw_comparison(self):
-        params = VadParams(threshold=0.5, hangover_frames=0)
+        params = VadParams(threshold=0.5, hangover=0)
         dec = VadDecider(params)
         assert [dec.decide(s) for s in [1.0, 0.0, 1.0]] == [True, False, True]
 
     def test_negative_hangover_rejected(self):
         with pytest.raises(ConfigError):
-            VadParams(hangover_frames=-1)
+            VadParams(hangover=-1)
 
 
 class TestSegments:
