@@ -7,6 +7,8 @@ is what makes tuner outputs directly reusable as enhance configs.
 
 from __future__ import annotations
 
+import math
+
 from .errors import ConfigError
 
 
@@ -54,17 +56,25 @@ def write_config(path, values: dict, header: str | None = None) -> None:
 
 
 def as_float(raw: str, key: str) -> float:
+    """A finite number: no key of any config file takes NaN or Inf."""
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise ConfigError(f"{key}: expected a number, got {raw!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"{key}: expected a finite number, got {raw!r}")
+    return value
 
 
 def as_int(raw: str, key: str) -> int:
+    """A non-negative integer: every integer key is a count or a seed."""
     try:
-        return int(raw)
+        value = int(raw)
     except ValueError:
         raise ConfigError(f"{key}: expected an integer, got {raw!r}") from None
+    if value < 0:
+        raise ConfigError(f"{key}: expected a non-negative integer, got {raw!r}")
+    return value
 
 
 def as_bool(raw: str, key: str) -> bool:

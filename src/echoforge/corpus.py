@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import math
 import os
 from dataclasses import asdict, dataclass
 
@@ -65,10 +66,14 @@ class CorpusSpec:
         if not any(self.noise_files.get(t) for t in self.noise_files):
             raise ConfigError("corpus needs at least one background noise file")
         for rng_name, rng in (("ser", self.ser_range_db), ("snr", self.snr_range_db)):
+            if not all(math.isfinite(v) for v in rng):
+                raise ConfigError(f"{rng_name} range must be finite, got {rng}")
             if rng[0] > rng[1]:
                 raise ConfigError(f"{rng_name} range has lo > hi: {rng}")
-        if self.sigma3 < 0:
-            raise ConfigError(f"sigma3 must be >= 0, got {self.sigma3}")
+        if not 0 <= self.sigma3 < math.inf:
+            raise ConfigError(f"sigma3 must be finite and >= 0, got {self.sigma3}")
+        if self.master_seed < 0:
+            raise ConfigError(f"master_seed must be >= 0, got {self.master_seed}")
 
 
 @dataclass(frozen=True)
@@ -98,7 +103,6 @@ class MixResult:
     reference: AudioBuffer       # dry music excerpt, the far-end signal
     echo: AudioBuffer            # reverberant music, pre-sigma1
     background: AudioBuffer      # noise excerpt, pre-sigma2
-    pink: AudioBuffer
 
 
 def normalize_ir(ir: AudioBuffer) -> AudioBuffer:
@@ -149,7 +153,9 @@ def make_default_irs(length: int = 1024) -> list:
     return irs
 
 
-def _read_source(path) -> AudioBuffer:
+def read_source(path) -> AudioBuffer:
+    """Read a WAV that must be at SAMPLE_RATE; InputError naming the path
+    if it is at another rate."""
     buf = read_wav(path)
     if buf.sample_rate != SAMPLE_RATE:
         raise InputError(f"{path}: expected {SAMPLE_RATE} Hz, got {buf.sample_rate} Hz")
@@ -175,31 +181,29 @@ def _reverberate(dry: AudioBuffer, ir: AudioBuffer) -> AudioBuffer:
 def _sum(recipe: MixtureRecipe, speech_dry: AudioBuffer, speech_reverb: AudioBuffer,
          music: AudioBuffer, echo: AudioBuffer, noise: AudioBuffer) -> MixResult:
     # The one place the mix is summed; its operand order fixes the bits on disk.
-    sr = speech_dry.sample_rate
     pink = pink_noise(len(speech_dry), np.random.default_rng(recipe.seed))
     mix = (speech_reverb.samples
            + recipe.sigma1 * echo.samples
            + recipe.sigma2 * noise.samples
            + recipe.sigma3 * pink)
     return MixResult(
-        mix=AudioBuffer(mix, sr),
+        mix=AudioBuffer(mix, speech_dry.sample_rate),
         speech_reverb=speech_reverb,
         speech_dry=speech_dry,
         reference=music,
         echo=echo,
         background=noise,
-        pink=AudioBuffer(pink, sr),
     )
 
 
 def mix_item(recipe: MixtureRecipe, irs: list, base_dir: str = ".") -> MixResult:
     """Rebuild one corpus item deterministically from its recipe."""
-    speech_dry = _read_source(_resolve(base_dir, recipe.speech_path))
+    speech_dry = read_source(_resolve(base_dir, recipe.speech_path))
     length = len(speech_dry)
     music_path = _resolve(base_dir, recipe.music_path)
-    music = _excerpt(_read_source(music_path), music_path, recipe.music_offset, length)
+    music = _excerpt(read_source(music_path), music_path, recipe.music_offset, length)
     noise_path = _resolve(base_dir, recipe.noise_path)
-    noise = _excerpt(_read_source(noise_path), noise_path, recipe.noise_offset, length)
+    noise = _excerpt(read_source(noise_path), noise_path, recipe.noise_offset, length)
     return _sum(recipe, speech_dry, _reverberate(speech_dry, irs[recipe.ir_index_speech]),
                 music, _reverberate(music, irs[recipe.ir_index_music]), noise)
 
@@ -238,9 +242,9 @@ def _draw_recipe(spec: CorpusSpec, index: int, irs: list, base_dir: str):
     ir_index_speech = int(rng.integers(len(irs)))
     ir_index_music = int(rng.integers(len(irs)))
 
-    speech_dry = _read_source(_resolve(base_dir, speech_path))
-    music_src = _read_source(_resolve(base_dir, music_path))
-    noise_src = _read_source(_resolve(base_dir, noise_path))
+    speech_dry = read_source(_resolve(base_dir, speech_path))
+    music_src = read_source(_resolve(base_dir, music_path))
+    noise_src = read_source(_resolve(base_dir, noise_path))
     length, music_len, noise_len = len(speech_dry), len(music_src), len(noise_src)
     if music_len < length:
         raise ConfigError(f"{music_path}: shorter than speech item ({music_len} < {length})")
@@ -277,6 +281,8 @@ def generate_corpus(spec: CorpusSpec, n_items: int, out_dir,
     are loaded before anything is written; if an item then fails, the files
     this call wrote are removed, and out_dir too if this call created it.
     """
+    if n_items < 0:
+        raise ConfigError(f"item count must be >= 0, got {n_items}")
     irs = load_irs(spec.ir_files, base_dir) if spec.ir_files else make_default_irs()
     created = not os.path.isdir(out_dir)
     os.makedirs(out_dir, exist_ok=True)
@@ -322,7 +328,7 @@ def generate_corpus(spec: CorpusSpec, n_items: int, out_dir,
 
 def load_irs(ir_files, base_dir: str = ".") -> list:
     """Load and unit-energy-normalize user impulse responses, each at SAMPLE_RATE."""
-    irs = [normalize_ir(_read_source(_resolve(base_dir, path))) for path in ir_files]
+    irs = [normalize_ir(read_source(_resolve(base_dir, path))) for path in ir_files]
     if not irs:
         raise ConfigError("empty impulse-response list")
     return irs

@@ -31,13 +31,14 @@ overlap-add synthesis).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .audio import AudioBuffer
 from .dtp import DtpEstimator
-from .errors import InputError
+from .errors import ConfigError, InputError
 from .metrics import erle_windows
 from .npe import NoisePowerEstimator
 from .params import PipelineParams, build_pipeline_params
@@ -150,8 +151,13 @@ def process_stream(mic: AudioBuffer, reference: AudioBuffer,
 def measure_erle(mic: AudioBuffer, enhanced: AudioBuffer,
                  window_seconds: float = 1.0) -> np.ndarray:
     """Windowed echo reduction of the enhanced output against the mic;
-    InputError if their lengths differ."""
-    window = max(1, int(round(window_seconds * mic.sample_rate)))
+    InputError if their lengths differ, ConfigError if the window is not
+    finite or rounds to less than one sample."""
+    window = (int(round(window_seconds * mic.sample_rate))
+              if math.isfinite(window_seconds) else 0)
+    if window < 1:
+        raise ConfigError(
+            f"window must be finite and at least one sample, got {window_seconds} s")
     return erle_windows(mic.samples, enhanced.samples, window)
 
 

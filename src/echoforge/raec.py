@@ -31,6 +31,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, InputError
+from .stft import smooth_frames
 
 # NLMS normalization regularizer.
 DELTA = 1e-3
@@ -206,15 +207,11 @@ class Raec:
         k = len(spec)
         spectra = np.concatenate((spec, self.x_spectra[:m - 1]))
         power = np.concatenate(((1.0 - a) * np.abs(spec) ** 2, self.x_power[:m - 1]))
-        bias = np.empty(k)
         # power_t = a * power_{t-1} + (1 - a) * |X_t|^2, oldest block first,
-        # carried on from the newest row so far. A row loop, not
-        # scipy.signal.lfilter: importing scipy.signal would more than
-        # double the import time and resident size of the package.
-        newest = self.x_power[0]
+        # carried on from the newest row so far
+        smooth_frames(power[k - 1::-1], self.x_power[0], a)
+        bias = np.empty(k)
         for i in range(k - 1, -1, -1):
-            power[i] += a * newest
-            newest = power[i]
             self._psd_bias = a * self._psd_bias + (1.0 - a)
             bias[i] = self._psd_bias
         # NLMS normalization: far-end power summed over partitions

@@ -86,8 +86,6 @@ def lsa_gain(xi, gamma) -> np.ndarray:
     G = xi/(1+xi) * exp(E1(v)/2), v = xi*gamma/(1+xi), v floored at 1e-10.
     Unclamped: extreme prior/posterior mismatches can push G above 1.
     """
-    xi = np.asarray(xi, dtype=float)
-    gamma = np.asarray(gamma, dtype=float)
     prefactor = xi / (1.0 + xi)
     v = np.maximum(prefactor * gamma, V_FLOOR)
     return prefactor * np.exp(0.5 * exp1(v))
@@ -95,8 +93,6 @@ def lsa_gain(xi, gamma) -> np.ndarray:
 
 def mask_gain(xi, g_lsa, params: SuppressorParams) -> np.ndarray:
     """Three-branch masking gain switched on the a priori SNR."""
-    xi = np.asarray(xi, dtype=float)
-    g_lsa = np.asarray(g_lsa, dtype=float)
     low = (1.0 - params.g_min) * g_lsa + params.g_min
     zeta = np.where(xi <= params.theta1, low,
                     np.where(xi >= params.theta2,

@@ -37,12 +37,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .audio import read_wav, write_wav
-from .errors import ConfigError, InputError
+from .audio import write_wav
+from .corpus import read_source
+from .errors import ConfigError
 from .metrics import segmental_snr_improvement
 from .params import SCHEMA, THETA_PAIR, Field, build_pipeline_params, validate_params
 from .pipeline import process_stream
-from .stft import SAMPLE_RATE
 
 log = logging.getLogger("echoforge.tuner")
 
@@ -69,8 +69,11 @@ class GaConfig:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ConfigError(f"{name} must be in [0, 1], got {v}")
-        if self.mutation_scale < 0.0:
-            raise ConfigError(f"mutation_scale must be >= 0, got {self.mutation_scale}")
+        if not 0.0 <= self.mutation_scale < math.inf:
+            raise ConfigError(
+                f"mutation_scale must be finite and >= 0, got {self.mutation_scale}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.tournament < 1 or self.jobs < 1:
             raise ConfigError("tournament and jobs must be >= 1")
 
@@ -175,6 +178,8 @@ class GaResult:
 def _evaluate(objective, population, scores, jobs: int):
     """Fill in missing scores; failures score -inf and the run continues.
 
+    Candidates run on a pool of `jobs` threads, one thread included, so an
+    interrupt waits for the candidates in flight whatever `jobs` is.
     A dead worker process is not a candidate failure: BrokenProcessPool
     propagates, because every later candidate would fail the same way.
     """
@@ -189,14 +194,9 @@ def _evaluate(objective, population, scores, jobs: int):
             log.warning("candidate %d failed: %s", i, exc)
             return float("-inf")
 
-    if jobs > 1 and len(todo) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run_one, todo))
-        for i, s in zip(todo, results):
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        for i, s in zip(todo, pool.map(run_one, todo)):
             scores[i] = s
-    else:
-        for i in todo:
-            scores[i] = run_one(i)
     return scores
 
 
@@ -280,17 +280,9 @@ def load_corpus_items(manifest: dict, base_dir: str) -> list:
     A missing file raises FileNotFoundError, an unreadable one or one that
     is not at SAMPLE_RATE InputError, each naming the path.
     """
-    items = []
-    for entry in manifest["items"]:
-        paths = [os.path.join(base_dir, entry["files"][key])
-                 for key in ("mix", "speech", "reference")]
-        triple = tuple(read_wav(path) for path in paths)
-        for path, buffer in zip(paths, triple):
-            if buffer.sample_rate != SAMPLE_RATE:
-                raise InputError(f"{path}: expected {SAMPLE_RATE} Hz, got "
-                                 f"{buffer.sample_rate} Hz")
-        items.append(triple)
-    return items
+    return [tuple(read_source(os.path.join(base_dir, entry["files"][key]))
+                  for key in ("mix", "speech", "reference"))
+            for entry in manifest["items"]]
 
 
 # The corpus items of this worker process, set once by the pool initializer.
@@ -355,8 +347,8 @@ def external_objective(command_template: str, exchange_dir, timeout: float, item
     work directory under `exchange_dir`; the command (with `{dir}`
     substituted) must print one decimal score on stdout.
     """
-    if timeout <= 0:
-        raise ConfigError(f"timeout must be positive, got {timeout}")
+    if not 0 < timeout < math.inf:
+        raise ConfigError(f"timeout must be positive and finite, got {timeout}")
     os.makedirs(exchange_dir, exist_ok=True)
     pool = _item_pool(items)
 

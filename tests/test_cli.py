@@ -116,6 +116,14 @@ class TestMetrics:
         write_wav(short, AudioBuffer(speech_like(0.5, seed=82)))
         assert main(["metrics", mic, str(short)]) == 2
 
+    @pytest.mark.parametrize("window", ["0", "-1", "nan", "inf"])
+    def test_window_outside_domain_exit_3(self, wav_pair, capsys, window):
+        mic, _ = wav_pair
+        assert main(["metrics", mic, mic, "--window", window]) == 3
+        captured = capsys.readouterr()
+        assert "erle_db_window" not in captured.out
+        assert "window" in captured.err
+
     def test_rate_mismatch_exit_2_naming_both(self, tmp_path, capsys):
         # same length, so only the rate tells them apart
         samples = speech_like(0.5, seed=83, rms=0.05)
@@ -231,6 +239,34 @@ class TestCorpusCommand:
         out = tmp_path / "x"
         assert main(["corpus", str(cfg), "1", "--out", str(out)]) == 3
         assert line.split(" = ")[0] in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("line", ["corpus.ser_min = nan", "corpus.snr_max = inf",
+                                      "corpus.sigma3 = nan", "corpus.sigma3 = inf",
+                                      "corpus.seed = -1"])
+    def test_value_outside_domain_exit_3_naming_key(self, tmp_path, capsys, line):
+        paths = _write_sources(tmp_path)
+        cfg = tmp_path / "corpus.cfg"
+        cfg.write_text(
+            f"corpus.speech = {paths['sp']}\n"
+            f"corpus.music = {paths['mu']}\n"
+            f"corpus.noise.babble = {paths['no']}\n"
+            f"{line}\n")
+        out = tmp_path / "x"
+        assert main(["corpus", str(cfg), "1", "--out", str(out)]) == 3
+        assert line.split(" = ")[0] in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_count_exit_3(self, tmp_path, capsys):
+        paths = _write_sources(tmp_path)
+        cfg = tmp_path / "corpus.cfg"
+        cfg.write_text(
+            f"corpus.speech = {paths['sp']}\n"
+            f"corpus.music = {paths['mu']}\n"
+            f"corpus.noise.babble = {paths['no']}\n")
+        out = tmp_path / "x"
+        assert main(["corpus", str(cfg), "-3", "--out", str(out)]) == 3
+        assert "count" in capsys.readouterr().err
         assert not out.exists()
 
     def test_missing_spec_exit_2(self, tmp_path):
@@ -353,6 +389,8 @@ class TestTuneCommand:
         ("ga.jobs = 2", "ga.jobs"),
         ("bounds.raec1.frame_size.min = 100", "bounds.raec1.frame_size.min"),
         ("bounds.vad.hangover.min = 2.5", "bounds.vad.hangover.min"),
+        ("ga.seed = -1", "ga.seed"),
+        ("ga.mutation_scale = nan", "ga.mutation_scale"),
     ])
     def test_bad_ga_config_exit_3_naming_key(self, tmp_path, capsys, line, key):
         ga_cfg = tmp_path / "ga.cfg"
@@ -363,6 +401,16 @@ class TestTuneCommand:
                      "--out", str(tmp_path / "b.cfg")])
         assert code == 3
         assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("timeout", ["nan", "inf"])
+    def test_non_finite_timeout_exit_3(self, tmp_path, capsys, timeout):
+        corpus_dir = _smoke_corpus(tmp_path)
+        best = tmp_path / "best.cfg"
+        code = main(["tune", str(corpus_dir / "manifest.json"), "--out", str(best),
+                     "--objective-cmd", "true {dir}", "--timeout", timeout])
+        assert code == 3
+        assert "timeout" in capsys.readouterr().err
+        assert not best.exists()
 
     def test_theta_bounds_without_an_ordered_pair_exit_3(self, tmp_path, capsys):
         ga_cfg = tmp_path / "ga.cfg"

@@ -53,6 +53,11 @@ class TestConfigFormat:
             as_int("x", "k")
         with pytest.raises(ConfigError):
             as_float("x", "k")
+        for raw in ("nan", "inf", "-inf"):
+            with pytest.raises(ConfigError, match="k: expected a finite number"):
+                as_float(raw, "k")
+        with pytest.raises(ConfigError, match="k: expected a non-negative integer"):
+            as_int("-1", "k")
         with pytest.raises(ConfigError):
             as_bool("maybe", "k")
 

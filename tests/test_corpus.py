@@ -194,6 +194,11 @@ class TestGeneration:
         manifest = read_manifest(tmp_path / "empty" / "manifest.json")
         assert manifest["items"] == []
 
+    def test_negative_count_rejected(self, corpus_sources, tmp_path):
+        with pytest.raises(ConfigError, match="count"):
+            generate_corpus(make_corpus_spec(corpus_sources), -3, tmp_path / "neg")
+        assert not (tmp_path / "neg").exists()
+
     def test_point_range_collapses_draws(self, corpus_sources, tmp_path):
         spec = make_corpus_spec(corpus_sources, ser_range_db=(-12.0, -12.0))
         recipes = generate_corpus(spec, 4, tmp_path / "point")
@@ -246,6 +251,12 @@ class TestGeneration:
             make_corpus_spec(corpus_sources, ser_range_db=(-5.0, -10.0))
         with pytest.raises(ConfigError):
             make_corpus_spec(corpus_sources, sigma3=-0.1)
+        nan, inf = float("nan"), float("inf")
+        for bad in ({"ser_range_db": (nan, -10.0)}, {"ser_range_db": (-15.0, nan)},
+                    {"snr_range_db": (-10.0, inf)}, {"snr_range_db": (-inf, 10.0)},
+                    {"sigma3": nan}, {"sigma3": inf}, {"master_seed": -1}):
+            with pytest.raises(ConfigError):
+                make_corpus_spec(corpus_sources, **bad)
 
     def test_uniformity_of_draws(self, tmp_path):
         # short sources keep a thousand draws cheap

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from echoforge.audio import AudioBuffer
-from echoforge.errors import InputError
+from echoforge.errors import ConfigError, InputError
 from echoforge.metrics import erle_windows, segmental_snr
 from echoforge.params import build_pipeline_params
 from echoforge import pipeline
@@ -289,6 +289,12 @@ class TestErle:
         x = speech_like(1.0, seed=22)
         with pytest.raises(InputError):
             measure_erle(AudioBuffer(x, FS), AudioBuffer(x[:-1], FS))
+
+    @pytest.mark.parametrize("window", [0.0, -1.0, 1e-5, float("nan"), float("inf")])
+    def test_window_below_one_sample_or_not_finite_rejected(self, window):
+        x = speech_like(1.0, seed=23)
+        with pytest.raises(ConfigError, match="window"):
+            measure_erle(AudioBuffer(x, FS), AudioBuffer(x / 2, FS), window)
 
     def test_windowed_lengths(self):
         x = speech_like(2.5, seed=21)

@@ -220,3 +220,8 @@ class TestGaRun:
             GaConfig(generations=0)
         with pytest.raises(ConfigError):
             GaConfig(mutation_rate=1.5)
+        for scale in (float("nan"), float("inf")):
+            with pytest.raises(ConfigError, match="mutation_scale"):
+                GaConfig(mutation_scale=scale)
+        with pytest.raises(ConfigError, match="seed"):
+            GaConfig(seed=-1)
