@@ -28,7 +28,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 from scipy.signal import fftconvolve, lfilter
 
-from .audio import AudioBuffer, read_wav, write_wav
+from .audio import AudioBuffer, WavFile, open_wav, read_wav, write_wav
 from .errors import ConfigError, InputError
 from .stft import SAMPLE_RATE
 
@@ -153,21 +153,34 @@ def make_default_irs(length: int = 1024) -> list:
     return irs
 
 
+def _at_sample_rate(path, source):
+    """source (an AudioBuffer or WavFile) if it is at SAMPLE_RATE, else
+    InputError naming the path."""
+    if source.sample_rate != SAMPLE_RATE:
+        raise InputError(f"{path}: expected {SAMPLE_RATE} Hz, got {source.sample_rate} Hz")
+    return source
+
+
 def read_source(path) -> AudioBuffer:
-    """Read a WAV that must be at SAMPLE_RATE; InputError naming the path
-    if it is at another rate."""
-    buf = read_wav(path)
-    if buf.sample_rate != SAMPLE_RATE:
-        raise InputError(f"{path}: expected {SAMPLE_RATE} Hz, got {buf.sample_rate} Hz")
-    return buf
+    """Read and decode a whole WAV that must be at SAMPLE_RATE; InputError
+    naming the path if it is at another rate."""
+    return _at_sample_rate(path, read_wav(path))
 
 
-def _excerpt(buf: AudioBuffer, path, offset: int, length: int) -> AudioBuffer:
-    if offset + length > len(buf):
+def open_source(path) -> WavFile:
+    """Open a WAV that must be at SAMPLE_RATE, as `read_source` checks it,
+    without decoding any sample yet."""
+    return _at_sample_rate(path, open_wav(path))
+
+
+def _excerpt(source: WavFile, offset: int, length: int) -> AudioBuffer:
+    """Decode samples [offset, offset + length) of an opened source;
+    ConfigError naming the path if they run past its end."""
+    if offset + length > len(source):
         raise ConfigError(
-            f"{path}: excerpt [{offset}, {offset + length}) exceeds file "
-            f"length {len(buf)}")
-    return AudioBuffer(buf.samples[offset : offset + length], buf.sample_rate)
+            f"{source.path}: excerpt [{offset}, {offset + length}) exceeds file "
+            f"length {len(source)}")
+    return source.read(offset, offset + length)
 
 
 def _resolve(base_dir, path):
@@ -200,10 +213,10 @@ def mix_item(recipe: MixtureRecipe, irs: list, base_dir: str = ".") -> MixResult
     """Rebuild one corpus item deterministically from its recipe."""
     speech_dry = read_source(_resolve(base_dir, recipe.speech_path))
     length = len(speech_dry)
-    music_path = _resolve(base_dir, recipe.music_path)
-    music = _excerpt(read_source(music_path), music_path, recipe.music_offset, length)
-    noise_path = _resolve(base_dir, recipe.noise_path)
-    noise = _excerpt(read_source(noise_path), noise_path, recipe.noise_offset, length)
+    music = _excerpt(open_source(_resolve(base_dir, recipe.music_path)),
+                     recipe.music_offset, length)
+    noise = _excerpt(open_source(_resolve(base_dir, recipe.noise_path)),
+                     recipe.noise_offset, length)
     return _sum(recipe, speech_dry, _reverberate(speech_dry, irs[recipe.ir_index_speech]),
                 music, _reverberate(music, irs[recipe.ir_index_music]), noise)
 
@@ -224,8 +237,11 @@ def measured_snr_db(result: MixResult, recipe: MixtureRecipe) -> float:
 def _draw_recipe(spec: CorpusSpec, index: int, irs: list, base_dir: str):
     """Draw item `index` and mix it; returns (recipe, MixResult).
 
-    Each source file is read once: the offsets need the file lengths and
-    the gains need the reverberant components, which then go into the mix.
+    Each source file is opened once. The speech file is decoded whole, as
+    it is the item. The music and noise offsets need only the file lengths,
+    which come from the WAV headers, so of those files only the excerpts
+    are decoded; the gains need the reverberant components, which then go
+    into the mix.
     """
     ss = np.random.SeedSequence(spec.master_seed, spawn_key=(index,))
     rng = np.random.default_rng(ss)
@@ -243,8 +259,8 @@ def _draw_recipe(spec: CorpusSpec, index: int, irs: list, base_dir: str):
     ir_index_music = int(rng.integers(len(irs)))
 
     speech_dry = read_source(_resolve(base_dir, speech_path))
-    music_src = read_source(_resolve(base_dir, music_path))
-    noise_src = read_source(_resolve(base_dir, noise_path))
+    music_src = open_source(_resolve(base_dir, music_path))
+    noise_src = open_source(_resolve(base_dir, noise_path))
     length, music_len, noise_len = len(speech_dry), len(music_src), len(noise_src)
     if music_len < length:
         raise ConfigError(f"{music_path}: shorter than speech item ({music_len} < {length})")
@@ -253,8 +269,8 @@ def _draw_recipe(spec: CorpusSpec, index: int, irs: list, base_dir: str):
     music_offset = int(rng.integers(music_len - length + 1))
     noise_offset = int(rng.integers(noise_len - length + 1))
 
-    music = _excerpt(music_src, music_path, music_offset, length)
-    noise = _excerpt(noise_src, noise_path, noise_offset, length)
+    music = _excerpt(music_src, music_offset, length)
+    noise = _excerpt(noise_src, noise_offset, length)
     speech_reverb = _reverberate(speech_dry, irs[ir_index_speech])
     echo = _reverberate(music, irs[ir_index_music])
     recipe = MixtureRecipe(

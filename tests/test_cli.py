@@ -5,6 +5,7 @@ import re
 
 import numpy as np
 import pytest
+from scipy.io import wavfile
 
 from echoforge import corpus as corpusmod
 from echoforge.audio import AudioBuffer, read_wav, write_wav
@@ -79,6 +80,20 @@ class TestEnhance:
         out = tmp_path / "out.wav"
         assert main(["enhance", str(mic), str(ref), str(out)]) == 2
         assert "48000 Hz" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("which", ["mic", "ref"])
+    def test_nonfinite_input_exit_2_naming_path(self, wav_pair, tmp_path, capsys, which):
+        paths = dict(zip(("mic", "ref"), wav_pair))
+        samples = read_wav(paths[which]).samples.copy()
+        samples[len(samples) // 2] = np.nan
+        bad = tmp_path / f"{which}_nan.wav"
+        wavfile.write(bad, FS, samples.astype(np.float32))
+        paths[which] = str(bad)
+        out = tmp_path / "out.wav"
+        assert main(["enhance", paths["mic"], paths["ref"], str(out)]) == 2
+        err = capsys.readouterr().err
+        assert str(bad) in err and "NaN" in err
         assert not out.exists()
 
     def test_diagnostics_side_file(self, wav_pair, tmp_path):
@@ -267,6 +282,34 @@ class TestCorpusCommand:
         out = tmp_path / "x"
         assert main(["corpus", str(cfg), "-3", "--out", str(out)]) == 3
         assert "count" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_nonfinite_sample_exit_2_only_inside_drawn_excerpt(self, tmp_path, capsys):
+        # the finite-sample check covers the samples that enter an item
+        paths = _write_sources(tmp_path)
+        cfg = tmp_path / "corpus.cfg"
+        cfg.write_text(
+            f"corpus.speech = {paths['sp']}\n"
+            f"corpus.music = {paths['mu']}\n"
+            f"corpus.noise.babble = {paths['no']}\n"
+            "corpus.seed = 4\n")
+        assert main(["corpus", str(cfg), "1", "--out", str(tmp_path / "clean")]) == 0
+        item = json.loads((tmp_path / "clean" / "manifest.json").read_text())["items"][0]
+        music_path = tmp_path / paths["mu"]
+        music = read_wav(music_path).samples
+        start, stop = item["music_offset"], item["music_offset"] + FS
+        outside = stop if stop < len(music) else start - 1
+        for index, code in ((outside, 0), (start + FS // 2, 2)):
+            samples = music.copy()
+            samples[index] = np.nan
+            wavfile.write(music_path, FS, samples.astype(np.float32))
+            out = tmp_path / f"out{index}"
+            assert main(["corpus", str(cfg), "1", "--out", str(out)]) == code
+        mix = "item0000.mix.wav"
+        assert (tmp_path / f"out{outside}" / mix).read_bytes() == \
+            (tmp_path / "clean" / mix).read_bytes()
+        err = capsys.readouterr().err
+        assert str(music_path) in err and "NaN" in err
         assert not out.exists()
 
     def test_missing_spec_exit_2(self, tmp_path):

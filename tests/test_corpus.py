@@ -6,14 +6,14 @@ import numpy as np
 import pytest
 from scipy.signal import welch
 
-from echoforge import corpus
+from echoforge import audio, corpus
 from echoforge.audio import AudioBuffer, read_wav, write_wav
 from echoforge.corpus import (CorpusSpec, MixtureRecipe, gain_for_ser,
                               generate_corpus, make_default_irs,
                               measured_ser_db, measured_snr_db, mix_item,
                               normalize_ir, pink_noise, read_manifest)
 from echoforge.errors import ConfigError, InputError
-from conftest import make_corpus_spec, speech_like
+from conftest import make_corpus_spec, music_like, speech_like, stationary_noise
 
 FS = 16000
 
@@ -141,6 +141,20 @@ class TestMixing:
         assert np.array_equal(a.mix.samples, b.mix.samples)
 
 
+@pytest.fixture()
+def decoded(monkeypatch):
+    """The length of every span of samples the WAV decoder converts."""
+    lengths = []
+    decode = audio._decode
+
+    def counting(path, data, sample_rate):
+        lengths.append(len(data))
+        return decode(path, data, sample_rate)
+
+    monkeypatch.setattr(audio, "_decode", counting)
+    return lengths
+
+
 class TestGeneration:
     def test_recipes_realize_requested_ratios(self, corpus_sources, tmp_path):
         spec = make_corpus_spec(corpus_sources)
@@ -170,8 +184,8 @@ class TestGeneration:
             assert np.array_equal(on_disk, rebuilt), recipe.item_id
 
     def test_each_item_read_and_convolved_once(self, corpus_sources, tmp_path,
-                                               monkeypatch):
-        calls = {"read": 0, "convolve": 0}
+                                               monkeypatch, decoded):
+        calls = {"read": 0, "open": 0, "convolve": 0}
 
         def counted(key, fn):
             def wrapper(*args, **kwargs):
@@ -180,12 +194,33 @@ class TestGeneration:
             return wrapper
 
         monkeypatch.setattr(corpus, "read_wav", counted("read", corpus.read_wav))
+        monkeypatch.setattr(corpus, "open_wav", counted("open", corpus.open_wav))
         monkeypatch.setattr(corpus, "fftconvolve",
                             counted("convolve", corpus.fftconvolve))
         n_items = 4
         generate_corpus(make_corpus_spec(corpus_sources), n_items, tmp_path / "c")
-        # speech, music and noise once each; speech and music convolved once each
-        assert calls == {"read": 3 * n_items, "convolve": 2 * n_items}
+        # per item: the speech file read whole, music and noise each opened
+        # once and decoded over the item's span only; speech and music
+        # convolved once each
+        assert calls == {"read": n_items, "open": 2 * n_items, "convolve": 2 * n_items}
+        assert decoded == [2 * FS] * (3 * n_items)
+
+    def test_decoded_samples_do_not_grow_with_source_length(self, tmp_path, decoded):
+        item = FS // 4
+        paths = {}
+        for name, samples in (("speech", speech_like(0.25, seed=60)),
+                              ("music", music_like(50 * 0.25, seed=61)),
+                              ("noise", stationary_noise(50 * 0.25, seed=62))):
+            paths[name] = str(tmp_path / f"{name}.wav")
+            write_wav(paths[name], AudioBuffer(samples, FS))
+        spec = CorpusSpec(speech_files=(paths["speech"],), music_files=(paths["music"],),
+                          noise_files={"babble": (paths["noise"],)}, master_seed=9)
+        n_items = 3
+        recipes = generate_corpus(spec, n_items, tmp_path / "c")
+        assert sum(decoded) <= 3 * item * n_items
+        decoded.clear()
+        mix_item(recipes[-1], make_default_irs())
+        assert sum(decoded) <= 3 * item
 
     def test_zero_items_empty_manifest(self, corpus_sources, tmp_path):
         spec = make_corpus_spec(corpus_sources)

@@ -1,4 +1,5 @@
 import re
+import struct
 import tracemalloc
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.io import wavfile
 
-from echoforge.audio import AudioBuffer, read_wav, write_wav
+from echoforge.audio import AudioBuffer, open_wav, read_wav, write_wav
 from echoforge.cli import load_run_config
 from echoforge.dtp import DtpParams
 from echoforge.errors import ConfigError, InputError
@@ -196,6 +197,33 @@ class TestConfig:
         assert np.allclose(WINDOW[:HOP] ** 2 + WINDOW[HOP:] ** 2, 1.0)
 
 
+def _write_pcm24(path, values):
+    """Write a mono 24-bit PCM WAV, which scipy cannot write."""
+    data = np.asarray(values, dtype="<i4").view(np.uint8).reshape(-1, 4)[:, :3].tobytes()
+    fmt = struct.pack("<HHIIHH", 1, 1, FS, 3 * FS, 3, 24)
+    body = (b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt
+            + b"data" + struct.pack("<I", len(data)) + data + b"\0" * (len(data) % 2))
+    path.write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
+
+
+def _write_format(path, fmt, n, seed=0):
+    """Write n random samples in container format fmt; returns them at full scale."""
+    rng = np.random.default_rng(seed)
+    if fmt == "int24":
+        raw = rng.integers(-2**23, 2**23, n)
+        _write_pcm24(path, raw)
+        return raw / 2.0**23
+    dtype = np.dtype(fmt)
+    if dtype.kind == "i":
+        info = np.iinfo(dtype)
+        raw = rng.integers(info.min, info.max, n, endpoint=True, dtype=dtype)
+        wavfile.write(path, FS, raw)
+        return raw / -float(info.min)
+    raw = rng.uniform(-1.0, 1.0, n).astype(dtype)
+    wavfile.write(path, FS, raw)
+    return raw.astype(np.float64)
+
+
 class TestWavIO:
     def test_float32_round_trip(self, tmp_path):
         x = _random_buffer(5000, seed=7)
@@ -220,6 +248,38 @@ class TestWavIO:
         assert back.sample_rate == FS
         assert np.array_equal(back.samples, raw.astype(np.float64) / full_scale)
         assert back.samples[1] == 0.5 and back.samples[2] == -1.0
+
+    @pytest.mark.parametrize("fmt", ["int16", "int24", "int32", "float32", "float64"])
+    def test_span_read_equals_slice_of_whole_read(self, tmp_path, fmt):
+        n = 1001
+        path = tmp_path / f"{fmt}.wav"
+        expected = _write_format(path, fmt, n, seed=3)
+        whole = read_wav(path).samples
+        assert np.array_equal(whole, expected)
+        wav = open_wav(path)
+        assert (len(wav), wav.sample_rate) == (n, FS)
+        # scipy maps every container but the 3-byte one
+        assert isinstance(wav.data, np.memmap) == (fmt != "int24")
+        for start, stop in ((0, 100), (337, 612), (n - 250, n), (0, n), (n, n)):
+            span = wav.read(start, stop).samples
+            assert span.dtype == np.float64
+            assert np.array_equal(span, whole[start:stop]), (start, stop)
+        for start, stop in ((n - 250, n + 1), (-1, 10)):
+            with pytest.raises(InputError, match=re.escape(str(path))):
+                wav.read(start, stop)
+
+    def test_nonfinite_sample_names_path_in_whole_and_span_reads(self, tmp_path):
+        samples = np.zeros(100, dtype=np.float32)
+        samples[60] = np.nan
+        path = tmp_path / "nan.wav"
+        wavfile.write(path, FS, samples)
+        with pytest.raises(InputError, match=re.escape(str(path)) + ".*NaN"):
+            read_wav(path)
+        wav = open_wav(path)
+        with pytest.raises(InputError, match=re.escape(str(path)) + ".*NaN"):
+            wav.read(50, 70)
+        # only the decoded span is checked
+        assert np.array_equal(wav.read(0, 60).samples, np.zeros(60))
 
     @pytest.mark.parametrize("kind", ["uint8", "stereo", "not-riff"])
     def test_unsupported_file_rejected_naming_path(self, tmp_path, kind):
