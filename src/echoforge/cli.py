@@ -154,6 +154,8 @@ def cmd_tune(args) -> int:
 
     incumbent = paramsmod.default_params() if args.seed_incumbent else None
     result = tunermod.ga_run(cfg, bounds, objective, incumbent=incumbent)
+    if result.best_score == float("-inf"):
+        raise InputError(f"{args.manifest}: no candidate could be scored")
     print(result.history_table())
     print(f"best score: {result.best_score:.4f}")
     header = f"tuned parameters (score {result.best_score:.4f})"

@@ -11,12 +11,16 @@ SEGSNR_CLAMP_DB = 40.0
 SEGSNR_FRAME = 256
 
 
-def _ratio_db(num_energy: float, den_energy: float, clamp: float) -> float:
-    if den_energy <= 0.0:
-        return clamp
-    if num_energy <= 0.0:
-        return -clamp
-    return float(np.clip(10.0 * np.log10(num_energy / den_energy), -clamp, clamp))
+def _frame_energies(x: np.ndarray, n_frames: int, size: int) -> np.ndarray:
+    return np.sum(x[: n_frames * size].reshape(n_frames, size) ** 2, axis=1)
+
+
+def _ratio_db(num_energy: np.ndarray, den_energy: np.ndarray, clamp: float) -> np.ndarray:
+    """Elementwise 10*log10(num/den) clipped to +-clamp; zero den_energy
+    gives +clamp, and otherwise zero num_energy gives -clamp."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        db = np.clip(10.0 * np.log10(num_energy / den_energy), -clamp, clamp)
+    return np.select([den_energy <= 0.0, num_energy <= 0.0], [clamp, -clamp], db)
 
 
 def erle_windows(mic: np.ndarray, enhanced: np.ndarray, window: int):
@@ -31,12 +35,9 @@ def erle_windows(mic: np.ndarray, enhanced: np.ndarray, window: int):
     if window <= 0:
         raise InputError(f"window must be positive, got {window}")
     n_win = max(1, len(mic) // window)
-    out = np.empty(n_win)
-    for w in range(n_win):
-        sl = slice(w * window, (w + 1) * window)
-        out[w] = _ratio_db(np.sum(mic[sl] ** 2), np.sum(enhanced[sl] ** 2),
-                           ERLE_CLAMP_DB)
-    return out
+    size = min(window, len(mic))
+    return _ratio_db(_frame_energies(mic, n_win, size),
+                     _frame_energies(enhanced, n_win, size), ERLE_CLAMP_DB)
 
 
 def erle_db(mic: np.ndarray, enhanced: np.ndarray) -> float:
@@ -55,15 +56,12 @@ def segmental_snr(reference: np.ndarray, test: np.ndarray) -> float:
     test = np.asarray(test, dtype=float)
     if reference.shape != test.shape:
         raise InputError(f"length mismatch: {reference.shape} vs {test.shape}")
-    vals = []
-    for start in range(0, len(reference) - SEGSNR_FRAME + 1, SEGSNR_FRAME):
-        sl = slice(start, start + SEGSNR_FRAME)
-        ref_e = np.sum(reference[sl] ** 2)
-        err_e = np.sum((reference[sl] - test[sl]) ** 2)
-        if ref_e <= 0.0 and err_e <= 0.0:
-            continue
-        vals.append(_ratio_db(ref_e, err_e, SEGSNR_CLAMP_DB))
-    return float(np.mean(vals)) if vals else 0.0
+    n_seg = len(reference) // SEGSNR_FRAME
+    ref_e, err_e = (_frame_energies(x, n_seg, SEGSNR_FRAME)
+                    for x in (reference, reference - test))
+    live = ~((ref_e <= 0.0) & (err_e <= 0.0))
+    db = _ratio_db(ref_e[live], err_e[live], SEGSNR_CLAMP_DB)
+    return float(np.mean(db)) if db.size else 0.0
 
 
 def segmental_snr_improvement(clean: np.ndarray, enhanced: np.ndarray,

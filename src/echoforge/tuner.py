@@ -187,7 +187,10 @@ def _evaluate(objective, population, scores, jobs: int):
 
     def run_one(i):
         try:
-            return float(objective(population[i]))
+            score = float(objective(population[i]))
+            if not math.isfinite(score):
+                raise ValueError(f"objective returned {score}")
+            return score
         except BrokenProcessPool:
             raise
         except Exception as exc:  # candidate failure must not kill the run

@@ -60,14 +60,10 @@ def segments_from_flags(flags, total_samples: int):
     Ranges are clipped to total_samples. A range that starts at or after
     it (frames past the end of a mic shorter than its reference) is dropped.
     """
-    segments = []
-    start = None
-    for m, active in enumerate([*flags, False]):
-        if active and start is None:
-            start = m * HOP
-        elif not active and start is not None:
-            end = min((m - 1) * HOP + FRAME_LEN, total_samples)
-            if start < end:
-                segments.append((start, end))
-            start = None
-    return segments
+    padded = np.concatenate(([False], np.asarray(flags, dtype=bool), [False]))
+    # Run m..n-1 of active frames rises at padded index m and falls at n.
+    edges = np.flatnonzero(np.diff(padded))
+    starts = edges[0::2] * HOP
+    ends = np.minimum((edges[1::2] - 1) * HOP + FRAME_LEN, total_samples)
+    kept = starts < ends
+    return list(zip(starts[kept].tolist(), ends[kept].tolist()))

@@ -36,7 +36,7 @@ class TestEnhance:
         assert main(["enhance", mic, ref, out]) == 0
         enhanced = read_wav(out)
         assert len(enhanced) == len(read_wav(mic))
-        manifest = json.load(open(str(tmp_path / "out.segments.json")))
+        manifest = json.loads((tmp_path / "out.segments.json").read_text())
         assert "segments" in manifest
 
     def test_missing_reference_exits_2_naming_path(self, wav_pair, tmp_path, capsys):
@@ -176,7 +176,7 @@ class TestCorpusCommand:
             "corpus.sigma3 = 0.01\ncorpus.seed = 5\n")
         out = tmp_path / "corpus_out"
         assert main(["corpus", str(cfg), "3", "--out", str(out)]) == 0
-        manifest = json.load(open(out / "manifest.json"))
+        manifest = json.loads((out / "manifest.json").read_text())
         assert len(manifest["items"]) == 3
         assert all(item["ser_db"] == -12.0 for item in manifest["items"])
 
@@ -363,6 +363,18 @@ class TestTuneCommand:
                      "--out", str(best), "--seed-incumbent"])
         assert code == 3
         assert "raec1.mu = 0.5 outside" in capsys.readouterr().err
+        assert not best.exists()
+
+    def test_every_candidate_failing_exit_2_writes_no_out(self, tmp_path, capsys):
+        corpus_dir = _smoke_corpus(tmp_path)
+        ga_cfg = tmp_path / "ga.cfg"
+        ga_cfg.write_text("ga.population = 2\nga.elite = 1\nga.generations = 1\n")
+        best = tmp_path / "best.cfg"
+        code = main(["tune", str(corpus_dir / "manifest.json"), "--ga-config", str(ga_cfg),
+                     "--out", str(best), "--objective-cmd", "false",
+                     "--exchange-dir", str(tmp_path / "exchange")])
+        assert code == 2
+        assert "no candidate could be scored" in capsys.readouterr().err
         assert not best.exists()
 
     @pytest.mark.parametrize("text", ["not json {", "{}", '{"items": {}}', '{"items": []}',

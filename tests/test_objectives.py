@@ -159,7 +159,8 @@ class TestExternalObjective:
         scorer.write_text(
             "import json, sys, os\n"
             "d = sys.argv[1]\n"
-            "doc = json.load(open(os.path.join(d, 'candidate.json')))\n"
+            "with open(os.path.join(d, 'candidate.json')) as fh:\n"
+            "    doc = json.load(fh)\n"
             "ok = all(os.path.exists(i['enhanced']) for i in doc['items'])\n"
             "print(0.75 if ok and doc['params'] else -1.0)\n")
         objective = external_objective(
@@ -184,3 +185,13 @@ class TestExternalObjective:
                         default_bounds(), switch)
         assert result.best_score == -np.inf
         assert len(result.history) == 1
+
+    def test_non_finite_score_becomes_minus_inf(self, small_corpus, tmp_path):
+        manifest = read_manifest(small_corpus / "manifest.json")
+        items = load_corpus_items(manifest, str(small_corpus))[:1]
+        objective = external_objective(
+            f"{sys.executable} -c 'print(\"nan\")'", tmp_path / "exchange",
+            timeout=60.0, items=items)
+        result = ga_run(GaConfig(population=2, elite=1, generations=1, seed=3),
+                        default_bounds(), objective, incumbent=default_params())
+        assert result.best_score == -np.inf

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from echoforge.audio import AudioBuffer
 from echoforge.errors import ConfigError, InputError
-from echoforge.metrics import erle_windows, segmental_snr
+from echoforge.metrics import SEGSNR_FRAME, erle_windows, segmental_snr
 from echoforge.params import build_pipeline_params
 from echoforge import pipeline
 from echoforge.pipeline import (Diagnostics, measure_erle, process_stream,
@@ -268,6 +268,81 @@ class TestDiagnostics:
         assert np.allclose(raw[:, 0], diag.xi.astype(np.float32))
         assert np.allclose(raw[:, 1], diag.gamma.astype(np.float32))
         assert np.allclose(raw[:, 2], diag.zeta.astype(np.float32))
+
+
+def _loop_ratio_db(num_energy, den_energy, clamp):
+    if den_energy <= 0.0:
+        return clamp
+    if num_energy <= 0.0:
+        return -clamp
+    return float(np.clip(10.0 * np.log10(num_energy / den_energy), -clamp, clamp))
+
+
+def _loop_erle_windows(mic, enhanced, window):
+    """The window-at-a-time form erle_windows replaced; its reference."""
+    n_win = max(1, len(mic) // window)
+    out = np.empty(n_win)
+    for w in range(n_win):
+        sl = slice(w * window, (w + 1) * window)
+        out[w] = _loop_ratio_db(np.sum(mic[sl] ** 2), np.sum(enhanced[sl] ** 2), 80.0)
+    return out
+
+
+def _loop_segmental_snr(reference, test):
+    """The segment-at-a-time form segmental_snr replaced; its reference."""
+    vals = []
+    for start in range(0, len(reference) - SEGSNR_FRAME + 1, SEGSNR_FRAME):
+        sl = slice(start, start + SEGSNR_FRAME)
+        ref_e = np.sum(reference[sl] ** 2)
+        err_e = np.sum((reference[sl] - test[sl]) ** 2)
+        if ref_e <= 0.0 and err_e <= 0.0:
+            continue
+        vals.append(_loop_ratio_db(ref_e, err_e, 40.0))
+    return float(np.mean(vals)) if vals else 0.0
+
+
+@st.composite
+def signal_pairs(draw):
+    """Two signals from 0 to several segments long, with silent halves,
+    exact matches and all-zero second signals among the draws."""
+    n = draw(st.integers(0, 6 * SEGSNR_FRAME + 37))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from([0.0, 1e-3, 1.0, 1e3]))
+    a = scale * rng.standard_normal(n)
+    b = {"equal": a.copy(), "zero": np.zeros(n),
+         "close": a + 0.1 * scale * rng.standard_normal(n),
+         "other": scale * rng.standard_normal(n)}[draw(st.sampled_from(
+             ["equal", "zero", "close", "other"]))]
+    silent = draw(st.sampled_from([slice(0, 0), slice(0, n // 2), slice(n // 2, n)]))
+    a[silent] = 0.0
+    b[silent] = 0.0
+    return a, b
+
+
+class TestArrayFormsEqualLoopForms:
+    """Both scores are array reductions; they must equal the loop forms bit
+    for bit, with the same return types. Each pair is scored both ways
+    round, so zero enhanced energy and zero mic energy both occur."""
+
+    @given(pair=signal_pairs(), window=st.integers(1, 8 * SEGSNR_FRAME))
+    @settings(max_examples=300, deadline=None)
+    def test_erle_windows(self, pair, window):
+        for mic, enhanced in (pair, pair[::-1]):
+            got = erle_windows(mic, enhanced, window)
+            with np.errstate(all="ignore"):
+                want = _loop_erle_windows(mic, enhanced, window)
+            assert type(got) is np.ndarray and got.dtype == np.float64
+            assert np.array_equal(got, want)
+
+    @given(pair=signal_pairs())
+    @settings(max_examples=300, deadline=None)
+    def test_segmental_snr(self, pair):
+        for reference, test in (pair, pair[::-1]):
+            got = segmental_snr(reference, test)
+            with np.errstate(all="ignore"):
+                want = _loop_segmental_snr(reference, test)
+            assert type(got) is float
+            assert got == want
 
 
 class TestErle:

@@ -144,6 +144,23 @@ class TestGaRun:
                         default_bounds(), flaky)
         assert np.isfinite(result.best_score)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_objective_value_is_a_failed_candidate(self, bad, caplog):
+        calls, finite = [], []
+
+        def second_call_bad(params):
+            calls.append(params)
+            if len(calls) == 2:
+                return bad
+            finite.append(sphere(params))
+            return finite[-1]
+
+        result = ga_run(GaConfig(population=6, elite=2, generations=2, seed=3, jobs=1),
+                        default_bounds(), second_call_bad)
+        assert result.best_score == max(finite)
+        assert all(h.best >= h.mean for h in result.history)
+        assert f"objective returned {bad}" in caplog.text
+
     def test_incumbent_joins_initial_population(self):
         incumbent = default_params()
         result = ga_run(

@@ -65,7 +65,31 @@ class TestDecider:
             VadParams(hangover=-1)
 
 
+def _loop_segments_from_flags(flags, total_samples):
+    """The frame-at-a-time scan segments_from_flags replaced; its reference."""
+    segments = []
+    start = None
+    for m, active in enumerate([*flags, False]):
+        if active and start is None:
+            start = m * HOP
+        elif not active and start is not None:
+            end = min((m - 1) * HOP + FRAME_LEN, total_samples)
+            if start < end:
+                segments.append((start, end))
+            start = None
+    return segments
+
+
 class TestSegments:
+    @given(flags=st.lists(st.booleans(), max_size=40), total=st.integers(0, 42 * HOP))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_loop_form(self, flags, total):
+        segs = segments_from_flags(flags, total)
+        assert segs == _loop_segments_from_flags(flags, total)
+        assert type(segs) is list
+        assert all(type(v) is int for seg in segs for v in seg)
+        assert all(type(seg) is tuple and len(seg) == 2 for seg in segs)
+
     def test_merge_and_bounds(self):
         flags = [False, True, True, False, True, False]
         segs = segments_from_flags(flags, total_samples=2000)
