@@ -43,8 +43,8 @@ def load_run_config(path):
 
 def cmd_enhance(args) -> int:
     pipeline_params = load_run_config(args.config)
-    mic = read_wav(args.mic)
-    ref = read_wav(args.reference)
+    mic = corpusmod.read_source(args.mic)
+    ref = corpusmod.read_source(args.reference)
     result = process_stream(mic, ref, pipeline_params,
                             collect_diagnostics=args.diagnostics)
     write_wav(args.output, result.enhanced)

@@ -55,6 +55,12 @@ class CorpusSpec:
     master_seed: int = 0
 
     def __post_init__(self):
+        for name, value in (("speech_files", self.speech_files),
+                            ("music_files", self.music_files), ("ir_files", self.ir_files),
+                            *((f"noise_files[{k!r}]", v) for k, v in self.noise_files.items())):
+            if isinstance(value, (str, bytes)):
+                raise ConfigError(f"{name} must be a sequence of paths, got a single "
+                                  f"string {value!r}")
         if not self.speech_files:
             raise ConfigError("corpus needs at least one speech file")
         if not self.music_files:
@@ -105,23 +111,26 @@ class MixResult:
     background: AudioBuffer      # noise excerpt, pre-sigma2
 
 
-def normalize_ir(ir: AudioBuffer) -> AudioBuffer:
-    """Scale an impulse response to unit energy."""
+def normalize_ir(ir: AudioBuffer, name: str = "impulse response") -> AudioBuffer:
+    """Scale an impulse response to unit energy; an all-zero one is an
+    InputError that gives its name."""
     energy = ir.energy()
     if energy <= 0.0:
-        raise InputError("cannot normalize an all-zero impulse response")
+        raise InputError(f"{name} is all zero")
     return AudioBuffer(ir.samples / np.sqrt(energy), ir.sample_rate)
 
 
-def gain_for_ser(speech: AudioBuffer, echo: AudioBuffer, ser_db: float) -> float:
+def gain_for_ser(speech: AudioBuffer, echo: AudioBuffer, ser_db: float,
+                 names=("speech signal", "echo signal")) -> float:
     """Gain g realizing 10*log10(E_s / (g^2 E_d)) = ser_db; the same formula
-    gives the noise gain for a speech-to-noise ratio."""
+    gives the noise gain for a speech-to-noise ratio. A silent signal is an
+    InputError that gives its entry of names."""
     e_s = speech.energy()
     e_d = echo.energy()
     if e_s <= 0.0:
-        raise InputError("silent speech signal")
+        raise InputError(f"{names[0]} is silent")
     if e_d <= 0.0:
-        raise InputError("silent echo signal")
+        raise InputError(f"{names[1]} is silent")
     return float(np.sqrt(e_s / e_d) * 10.0 ** (-ser_db / 20.0))
 
 
@@ -273,14 +282,18 @@ def _draw_recipe(spec: CorpusSpec, index: int, irs: list, base_dir: str):
     noise = _excerpt(noise_src, noise_offset, length)
     speech_reverb = _reverberate(speech_dry, irs[ir_index_speech])
     echo = _reverberate(music, irs[ir_index_music])
+    # what a silent-signal error names
+    speech_name = f"{_resolve(base_dir, speech_path)}: speech signal"
+    music_name = f"{music_src.path}: excerpt [{music_offset}, {music_offset + length})"
+    noise_name = f"{noise_src.path}: excerpt [{noise_offset}, {noise_offset + length})"
     recipe = MixtureRecipe(
         item_id=f"item{index:04d}", speech_path=speech_path,
         music_path=music_path, music_offset=music_offset,
         noise_type=noise_type, noise_path=noise_path, noise_offset=noise_offset,
         ir_index_speech=ir_index_speech, ir_index_music=ir_index_music,
         ser_db=ser_db, snr_db=snr_db,
-        sigma1=gain_for_ser(speech_reverb, echo, ser_db),
-        sigma2=gain_for_ser(speech_reverb, noise, snr_db),
+        sigma1=gain_for_ser(speech_reverb, echo, ser_db, (speech_name, music_name)),
+        sigma2=gain_for_ser(speech_reverb, noise, snr_db, (speech_name, noise_name)),
         sigma3=spec.sigma3, seed=item_seed,
     )
     return recipe, _sum(recipe, speech_dry, speech_reverb, music, echo, noise)
@@ -344,7 +357,8 @@ def generate_corpus(spec: CorpusSpec, n_items: int, out_dir,
 
 def load_irs(ir_files, base_dir: str = ".") -> list:
     """Load and unit-energy-normalize user impulse responses, each at SAMPLE_RATE."""
-    irs = [normalize_ir(read_source(_resolve(base_dir, path))) for path in ir_files]
+    paths = [_resolve(base_dir, path) for path in ir_files]
+    irs = [normalize_ir(read_source(path), f"{path}: impulse response") for path in paths]
     if not irs:
         raise ConfigError("empty impulse-response list")
     return irs

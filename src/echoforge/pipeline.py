@@ -97,8 +97,7 @@ def process_stream(mic: AudioBuffer, reference: AudioBuffer,
     length = max(len(mic), len(reference))
     y = pad_to(mic.samples, length)
     x = pad_to(reference.samples, length)
-    # the stages are dropped here, not held through the frame loop
-    e, d_hat = cascade_run(x, y, params.raec1, params.raec2)[:2]
+    e, d_hat = cascade_run(x, y, params.raec1, params.raec2)
     # The spectra are taken a chunk at a time from these four signals, and
     # the signals are dropped before synthesis.
     signals = [AudioBuffer(s) for s in (y, x, e, d_hat)]

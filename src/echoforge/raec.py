@@ -18,9 +18,10 @@ conjugates, the conjugates scaled for the coherence recursion, the
 smoothed power and the reciprocal NLMS normalization) is built for up to
 CHUNK blocks at a time in one batched pass (`Raec.process`); the
 per-block loop then does only the work that needs the microphone, in
-work buffers made once per stage. Two instances chain into a cascade
-(`cascade_run`): the second stage filters the same far-end reference and
-cancels what the first left behind.
+work buffers made once per stage. A stage maps the microphone signal to
+its error alone. Two instances chain into a cascade (`cascade_run`): the
+second stage filters the same far-end reference and cancels what the
+first left behind.
 """
 
 from __future__ import annotations
@@ -137,17 +138,17 @@ class Raec:
         # columns stay zero); _err_specs their transforms. _work holds the
         # filter product, then the coherence cross term, then the gradient;
         # _step_conj the block's (mu * step) * conj(X); _w_time the
-        # gradient-constrained response. _echo: row 0 is the block's echo
-        # estimate, row 1 a later iteration's. _coh_num and _coh_den hold
-        # |cross|^2 and the coherence denominator. The transforms write into
-        # them through numpy.fft's out=, which needs numpy >= 2.0.
+        # gradient-constrained response; _echo the filter's echo estimate.
+        # _coh_num and _coh_den hold |cross|^2 and the coherence
+        # denominator. The transforms write into them through numpy.fft's
+        # out=, which needs numpy >= 2.0.
         self._err_pad = np.zeros((2, 2 * n))
         self._err_specs = np.zeros((2, self.n_bins), dtype=complex)
         self._work = np.zeros((m, self.n_bins), dtype=complex)
         self._step_conj = np.zeros((m, self.n_bins), dtype=complex)
         self._w_time = np.zeros((m, 2 * n))
         self._echo_spec = np.zeros(self.n_bins, dtype=complex)
-        self._echo = np.zeros((2, 2 * n))
+        self._echo = np.zeros(2 * n)
         self._abs_e = np.zeros(n)
         self._err_mag = np.zeros(self.n_bins)
         self._coh_num = np.zeros((m, self.n_bins))
@@ -159,10 +160,9 @@ class Raec:
     def process(self, x: np.ndarray, y: np.ndarray):
         """Consume far-end and microphone signals of a whole number of blocks.
 
-        Returns (e, d_hat): the echo-cancelled signal and the echo estimate,
-        both new arrays. Each block of them is computed before that block's
-        weight updates, so any split of a signal into calls gives the same
-        bits.
+        Returns e, the echo-cancelled signal, as a new array. Each block of
+        it is computed before that block's weight updates, so any split of a
+        signal into calls gives the same bits.
         """
         p = self.params
         n, m = p.frame_size, p.partitions
@@ -175,7 +175,6 @@ class Raec:
         if not (np.isfinite(x).all() and np.isfinite(y).all()):
             raise InputError("non-finite input block")
         e = np.empty(len(y))
-        d_hat = np.empty(len(y))
         for start in range(0, len(x), CHUNK * n):
             spectra, conj, conj_scaled, power, inv_norm = \
                 self._far_end_table(x[start:start + CHUNK * n])
@@ -187,8 +186,8 @@ class Raec:
                 self.x_conj_scaled = conj_scaled[i:i + m]
                 self.x_power = power[i:i + m]
                 sl = slice(start + j * n, start + (j + 1) * n)
-                e[sl], d_hat[sl] = self.process_block(y[sl], inv_norm[i])
-        return e, d_hat
+                e[sl] = self.process_block(y[sl], inv_norm[i])
+        return e
 
     def _far_end_table(self, x: np.ndarray):
         """Far-end rows for the k blocks of x, newest first.
@@ -260,30 +259,28 @@ class Raec:
         floor = COHERENCE_BIAS_MULT / k_eff
         return min(1.0, max(rho - floor, 0.0) / COHERENCE_FULL_SCALE)
 
-    def _filter(self, row: int) -> np.ndarray:
-        """The filter's echo estimate for this block, into _echo[row]."""
+    def _filter(self) -> np.ndarray:
+        """The filter's echo estimate for this block, into _echo."""
         n = self.params.frame_size
         product = np.multiply(self.weights, self.x_spectra, out=self._work)
         np.add.reduce(product, axis=0, out=self._echo_spec)
-        return np.fft.irfft(self._echo_spec, n=2 * n, out=self._echo[row])[n:]
+        return np.fft.irfft(self._echo_spec, n=2 * n, out=self._echo)[n:]
 
     def process_block(self, y_block: np.ndarray, inv_norm: np.ndarray):
         """One block's microphone-side work, called by `process`.
 
         The far-end views x_spectra, x_conj, x_conj_scaled and x_power and
         the reciprocal NLMS normalization inv_norm are this block's rows of
-        the far-end table. Returns (e, d_hat) for y_block, both computed
-        before this block's weight updates. They are views of this stage's
-        work buffers, overwritten by the next block: `process` copies them
-        out.
+        the far-end table. Returns e for y_block, computed before this
+        block's weight updates. It is a view of this stage's work buffers,
+        overwritten by the next block: `process` copies it out.
         """
         p = self.params
         n = p.frame_size
         pad = self._err_pad
         grad = self._work
         step_conj = self._step_conj
-        d_hat = self._filter(0)
-        e = np.subtract(y_block, d_hat, out=pad[0, n:])
+        e = np.subtract(y_block, self._filter(), out=pad[0, n:])
 
         e_adapt = e
         for it in range(p.iterations):
@@ -306,7 +303,7 @@ class Raec:
                     a = p.alpha if capped < self.scale else SCALE_RISE
                     self.scale = max(a * self.scale + (1.0 - a) * capped, SCALE_FLOOR)
             else:
-                e_adapt = np.subtract(y_block, self._filter(1), out=pad[1, n:])
+                e_adapt = np.subtract(y_block, self._filter(), out=pad[1, n:])
             # clip_error in place, with the scale this block's update has
             # already moved
             limit = p.gamma * self.scale
@@ -333,7 +330,7 @@ class Raec:
             w_time = np.fft.irfft(grad, n=2 * n, axis=1, out=self._w_time)
             w_time[:, n:] = 0.0
             np.fft.rfft(w_time, axis=1, out=self.weights)
-        return e, d_hat
+        return e
 
     def equivalent_response(self) -> np.ndarray:
         """Time-domain impulse response currently modelled by the weights."""
@@ -348,14 +345,12 @@ def cascade_run(x: np.ndarray, y: np.ndarray, params1: RaecParams,
 
     Stage outputs chain (the second stage consumes the first stage's
     error), so the stages are free to use different block sizes. Returns
-    (e, d_hat_total, stage1, stage2). Neither stage's own echo estimate is
-    kept: the total one is y - e, formed once at the end.
+    (e, d_hat): the cascade's error and its total echo estimate y - e,
+    formed once at the end.
     """
-    stage1 = Raec(params1)
-    stage2 = Raec(params2)
-    e = run_blocks(stage1, x, y)[0]
-    e = run_blocks(stage2, x, e)[0]
-    return e, pad_to(np.asarray(y, dtype=float), len(e)) - e, stage1, stage2
+    e = run_blocks(Raec(params1), x, y)
+    e = run_blocks(Raec(params2), x, e)
+    return e, pad_to(np.asarray(y, dtype=float), len(e)) - e
 
 
 def pad_to(signal: np.ndarray, length: int) -> np.ndarray:
@@ -371,13 +366,12 @@ def pad_to(signal: np.ndarray, length: int) -> np.ndarray:
 def run_blocks(canceler, x: np.ndarray, y: np.ndarray):
     """Drive a canceler over whole signals, zero-padding to a block multiple.
 
-    Only a signal whose length is not that multiple is copied. Returns
-    (e, d_hat) trimmed back to the longer input length.
+    Only a signal whose length is not that multiple is copied. Returns e
+    trimmed back to the longer input length.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     length = max(len(x), len(y))
     n = canceler.params.frame_size
     padded = -(-length // n) * n
-    e, d_hat = canceler.process(pad_to(x, padded), pad_to(y, padded))
-    return e[:length], d_hat[:length]
+    return canceler.process(pad_to(x, padded), pad_to(y, padded))[:length]

@@ -1,9 +1,11 @@
 """Joint residual-echo and noise suppression.
 
-Per bin and frame: a posteriori SNR against the summed noise + residual
-echo power, decision-directed a priori SNR, the Ephraim-Malah
-log-spectral-amplitude gain, and a three-branch masking gain switched on
-the a priori SNR:
+Per bin and frame, with the interference power
+I = max(noise + residual echo power, POWER_FLOOR): the a posteriori SNR
+gamma = |E|^2 / I, the decision-directed a priori SNR
+xi = alpha_dd * |S_prev|^2 / I + (1 - alpha_dd) * max(gamma - 1, 0)
+(S_prev the previous output frame, zero at the start), the Ephraim-Malah
+log-spectral-amplitude gain, and a three-branch masking gain on xi:
 
     low  (xi <= theta1):        (1 - g_min) * lsa_gain + g_min
     mid  (theta1 < xi < theta2): mask_alpha / 2
@@ -54,32 +56,6 @@ class SuppressorParams:
             raise ConfigError(f"mask_alpha must be >= 0, got {self.mask_alpha}")
 
 
-def posterior_snr(error_power, noise_power, residual_power):
-    """A posteriori SNR against the summed noise and residual echo power.
-
-    Returns (gamma, interference): interference = noise + residual echo
-    power floored at POWER_FLOOR, and gamma = error power / interference.
-    """
-    interference = np.maximum(noise_power + residual_power, POWER_FLOOR)
-    return error_power / interference, interference
-
-
-def dd_instant(gamma, alpha_dd: float) -> np.ndarray:
-    """The decision-directed prior's memoryless share,
-    (1 - alpha_dd) * max(gamma - 1, 0)."""
-    return (1.0 - alpha_dd) * np.maximum(gamma - 1.0, 0.0)
-
-
-def dd_prior_snr(prev_clean_power, interference, instant, alpha_dd: float) -> np.ndarray:
-    """Decision-directed a priori SNR.
-
-    Blends the previous frame's clean-speech power over the current
-    interference power with the instantaneous share from dd_instant:
-    alpha_dd * prev_clean_power / interference + instant.
-    """
-    return alpha_dd * (prev_clean_power / interference) + instant
-
-
 def lsa_gain(xi, gamma) -> np.ndarray:
     """Log-spectral-amplitude MMSE gain (Ephraim-Malah).
 
@@ -123,8 +99,9 @@ class Suppressor:
 
         Returns (s_hat, xi, gamma, zeta) for the chunk, each (frames, N_BINS).
         """
-        gamma, interference = posterior_snr(error_power, noise_power, residual_power)
-        instant = dd_instant(gamma, self.params.alpha_dd)
+        interference = np.maximum(noise_power + residual_power, POWER_FLOOR)
+        gamma = error_power / interference
+        instant = (1.0 - self.params.alpha_dd) * np.maximum(gamma - 1.0, 0.0)
         s_hat = np.empty_like(e)
         xi = np.empty_like(gamma)
         zeta = np.empty_like(gamma)
@@ -141,8 +118,7 @@ class Suppressor:
         Returns (s_hat, xi, zeta), where s_hat = zeta * e_frame (a real gain
         per bin, phase kept); updates the clean-speech memory.
         """
-        xi = dd_prior_snr(self.prev_clean_power, interference, instant,
-                          self.params.alpha_dd)
+        xi = self.params.alpha_dd * (self.prev_clean_power / interference) + instant
         g = lsa_gain(xi, gamma)
         zeta = mask_gain(xi, g, self.params)
         s_hat = zeta * e_frame

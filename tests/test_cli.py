@@ -79,7 +79,18 @@ class TestEnhance:
         write_wav(ref, AudioBuffer(music_like(1.0, fs=48000, seed=84), 48000))
         out = tmp_path / "out.wav"
         assert main(["enhance", str(mic), str(ref), str(out)]) == 2
-        assert "48000 Hz" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "48000 Hz" in err and str(mic) in err
+        assert not out.exists()
+
+    def test_8k_reference_exit_2_naming_path(self, wav_pair, tmp_path, capsys):
+        mic, _ = wav_pair
+        ref = tmp_path / "ref8k.wav"
+        write_wav(ref, AudioBuffer(music_like(1.0, fs=8000, seed=85), 8000))
+        out = tmp_path / "out.wav"
+        assert main(["enhance", str(mic), str(ref), str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{ref}: expected 16000 Hz, got 8000 Hz" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("which", ["mic", "ref"])
@@ -228,6 +239,39 @@ class TestCorpusCommand:
             assert (out / "notes.txt").read_text() == "kept"
         else:
             assert not out.exists()
+
+    @pytest.mark.parametrize("name, named", [("sp", "speech signal is silent"),
+                                             ("mu", "excerpt [0, 16000) is silent"),
+                                             ("no", "excerpt [0, 16000) is silent")])
+    def test_silent_source_exit_2_naming_file(self, tmp_path, capsys, name, named):
+        # a silent source as long as the 1 s speech, so its excerpt starts at 0
+        paths = _write_sources(tmp_path)
+        write_wav(tmp_path / paths[name], AudioBuffer(np.zeros(FS), FS))
+        cfg = tmp_path / "corpus.cfg"
+        cfg.write_text(
+            f"corpus.speech = {paths['sp']}\n"
+            f"corpus.music = {paths['mu']}\n"
+            f"corpus.noise.babble = {paths['no']}\n")
+        out = tmp_path / "x"
+        assert main(["corpus", str(cfg), "1", "--out", str(out)]) == 2
+        assert f"{tmp_path / paths[name]}: {named}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_all_zero_ir_exit_2_naming_file(self, tmp_path, capsys):
+        paths = _write_sources(tmp_path)
+        write_wav(tmp_path / "ir.wav", AudioBuffer([1.0, 0.5, 0.25], FS))
+        write_wav(tmp_path / "zero_ir.wav", AudioBuffer(np.zeros(3), FS))
+        cfg = tmp_path / "corpus.cfg"
+        cfg.write_text(
+            f"corpus.speech = {paths['sp']}\n"
+            f"corpus.music = {paths['mu']}\n"
+            f"corpus.noise.babble = {paths['no']}\n"
+            "corpus.irs = ir.wav, zero_ir.wav\n")
+        out = tmp_path / "x"
+        assert main(["corpus", str(cfg), "1", "--out", str(out)]) == 2
+        assert f"{tmp_path / 'zero_ir.wav'}: impulse response is all zero" in \
+            capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_noise_type_exit_3(self, tmp_path, capsys):
         paths = _write_sources(tmp_path)

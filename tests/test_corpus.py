@@ -292,6 +292,14 @@ class TestGeneration:
                     {"sigma3": nan}, {"sigma3": inf}, {"master_seed": -1}):
             with pytest.raises(ConfigError):
                 make_corpus_spec(corpus_sources, **bad)
+        # one path where a sequence of paths belongs would be read a character at a time
+        path = corpus_sources["speech"][0]
+        for field, bad in (("speech_files", {"speech_files": path}),
+                           ("music_files", {"music_files": path.encode()}),
+                           ("ir_files", {"ir_files": path}),
+                           ("noise_files['babble']", {"noise_files": {"babble": path}})):
+            with pytest.raises(ConfigError, match=re.escape(field)):
+                make_corpus_spec(corpus_sources, **bad)
 
     def test_uniformity_of_draws(self, tmp_path):
         # short sources keep a thousand draws cheap

@@ -1,3 +1,6 @@
+from dataclasses import asdict
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -5,9 +8,8 @@ from scipy.special import exp1
 
 from echoforge.errors import ConfigError
 from echoforge.stft import N_BINS
-from echoforge.suppressor import (POWER_FLOOR, Suppressor, SuppressorParams,
-                                  dd_instant, dd_prior_snr, lsa_gain, mask_gain,
-                                  posterior_snr)
+from echoforge.suppressor import (POWER_FLOOR, Suppressor, SuppressorParams, lsa_gain,
+                                  mask_gain)
 
 
 def quadrature_e1(v: float) -> float:
@@ -36,48 +38,60 @@ class TestExponentialIntegral:
         assert out[1, 100] == pytest.approx(quadrature_e1(v[1, 100]), rel=1e-9)
 
 
+def _snr(error_power, noise, residual, prev=None, alpha_dd=0.98):
+    """(xi, gamma) of one frame through Suppressor.process, its bins given
+    as arrays, with the clean-speech memory set to prev (zero if None).
+    alpha_dd = 1 lies outside SuppressorParams' range, so the parameters
+    go in as a plain namespace to reach the recursion's endpoint."""
+    sup = Suppressor(SimpleNamespace(**{**asdict(SuppressorParams()), "alpha_dd": alpha_dd}))
+    sup.prev_clean_power = np.zeros(len(error_power)) if prev is None else prev
+    _, xi, gamma, _ = sup.process(np.ones((1, len(error_power)), dtype=complex),
+                                  error_power[None], noise[None], residual[None])
+    return xi[0], gamma[0]
+
+
 class TestPosteriorSnr:
     def test_equal_power_gives_one(self):
-        gamma, _ = posterior_snr(np.array([2.0]), np.array([1.0]), np.array([1.0]))
+        _, gamma = _snr(np.array([2.0]), np.array([1.0]), np.array([1.0]))
         assert gamma[0] == 1.0
 
     def test_zero_error_gives_zero(self):
-        gamma, _ = posterior_snr(np.array([0.0]), np.array([1.0]), np.array([1.0]))
+        _, gamma = _snr(np.array([0.0]), np.array([1.0]), np.array([1.0]))
         assert gamma[0] == 0.0
 
     def test_arithmetic(self):
-        gamma, interference = posterior_snr(np.array([8.0]), np.array([1.0]),
-                                            np.array([3.0]))
+        _, gamma = _snr(np.array([8.0]), np.array([1.0]), np.array([3.0]))
         assert gamma[0] == 2.0
-        assert interference[0] == 4.0
+        # at unit error power gamma is 1 / interference
+        _, gamma = _snr(np.array([1.0]), np.array([1.0]), np.array([3.0]))
+        assert gamma[0] == 1.0 / 4.0
 
     def test_zero_denominator_floored_not_raised(self):
-        gamma, interference = posterior_snr(np.array([1.0]), np.array([0.0]),
-                                            np.array([0.0]))
+        _, gamma = _snr(np.array([1.0]), np.array([0.0]), np.array([0.0]))
         assert np.isfinite(gamma[0]) and gamma[0] > 0
-        assert interference[0] == POWER_FLOOR
+        assert gamma[0] == 1.0 / POWER_FLOOR
 
 
 def _dd(prev, gamma, noise, residual, alpha_dd):
-    """The decision-directed prior from its parts, as Suppressor forms it."""
-    _, interference = posterior_snr(np.zeros_like(gamma), noise, residual)
-    return dd_prior_snr(prev, interference, dd_instant(gamma, alpha_dd), alpha_dd)
+    """(xi, gamma) through Suppressor.process, with the error power set so
+    that the a posteriori SNR is gamma (up to rounding)."""
+    return _snr(gamma * (noise + residual), noise, residual, prev, alpha_dd)
 
 
 class TestDecisionDirected:
     def test_first_frame_uses_instantaneous_term_only(self):
-        xi = _dd(np.zeros(1), np.array([3.0]), np.array([0.5]),
-                 np.array([0.5]), alpha_dd=0.98)
+        xi, _ = _dd(np.zeros(1), np.array([3.0]), np.array([0.5]),
+                    np.array([0.5]), alpha_dd=0.98)
         assert xi[0] == pytest.approx(0.02 * 2.0, rel=1e-12)
 
     def test_clamped_at_zero_for_low_posterior(self):
-        xi = _dd(np.zeros(1), np.array([0.7]), np.array([1.0]),
-                 np.array([0.0]), alpha_dd=0.98)
+        xi, _ = _dd(np.zeros(1), np.array([0.7]), np.array([1.0]),
+                    np.array([0.0]), alpha_dd=0.98)
         assert xi[0] == 0.0
 
     def test_pure_memory_endpoint(self):
-        xi = _dd(np.array([4.0]), np.array([100.0]), np.array([2.0]),
-                 np.array([0.0]), alpha_dd=1.0)
+        xi, _ = _dd(np.array([4.0]), np.array([100.0]), np.array([2.0]),
+                    np.array([0.0]), alpha_dd=1.0)
         assert xi[0] == pytest.approx(2.0, rel=1e-12)
 
     def test_nonnegative_and_bounded_by_parts(self):
@@ -88,7 +102,7 @@ class TestDecisionDirected:
             noise = rng.uniform(0.01, 5, 8)
             res = rng.uniform(0, 5, 8)
             a = rng.uniform(0, 0.999)
-            xi = _dd(prev, gamma, noise, res, a)
+            xi, gamma = _dd(prev, gamma, noise, res, a)
             memory = prev / (noise + res)
             instant = np.maximum(gamma - 1, 0)
             assert np.all(xi >= 0)
