@@ -125,8 +125,12 @@ def gain_for_ser(speech: AudioBuffer, echo: AudioBuffer, ser_db: float,
     """Gain g realizing 10*log10(E_s / (g^2 E_d)) = ser_db; the same formula
     gives the noise gain for a speech-to-noise ratio. A silent signal is an
     InputError that gives its entry of names."""
-    e_s = speech.energy()
-    e_d = echo.energy()
+    return _gain_for_energies(speech.energy(), echo.energy(), ser_db, names)
+
+
+def _gain_for_energies(e_s: float, e_d: float, ser_db: float, names) -> float:
+    """`gain_for_ser` from the two energies, so that a caller scaling two
+    signals against one speech signal takes its energy once."""
     if e_s <= 0.0:
         raise InputError(f"{names[0]} is silent")
     if e_d <= 0.0:
@@ -286,14 +290,17 @@ def _draw_recipe(spec: CorpusSpec, index: int, irs: list, base_dir: str):
     speech_name = f"{_resolve(base_dir, speech_path)}: speech signal"
     music_name = f"{music_src.path}: excerpt [{music_offset}, {music_offset + length})"
     noise_name = f"{noise_src.path}: excerpt [{noise_offset}, {noise_offset + length})"
+    speech_energy = speech_reverb.energy()
     recipe = MixtureRecipe(
         item_id=f"item{index:04d}", speech_path=speech_path,
         music_path=music_path, music_offset=music_offset,
         noise_type=noise_type, noise_path=noise_path, noise_offset=noise_offset,
         ir_index_speech=ir_index_speech, ir_index_music=ir_index_music,
         ser_db=ser_db, snr_db=snr_db,
-        sigma1=gain_for_ser(speech_reverb, echo, ser_db, (speech_name, music_name)),
-        sigma2=gain_for_ser(speech_reverb, noise, snr_db, (speech_name, noise_name)),
+        sigma1=_gain_for_energies(speech_energy, echo.energy(), ser_db,
+                                  (speech_name, music_name)),
+        sigma2=_gain_for_energies(speech_energy, noise.energy(), snr_db,
+                                  (speech_name, noise_name)),
         sigma3=spec.sigma3, seed=item_seed,
     )
     return recipe, _sum(recipe, speech_dry, speech_reverb, music, echo, noise)

@@ -1,7 +1,8 @@
 """End-to-end enhancement: cancel, estimate, suppress, detect.
 
 Per stream: the cascaded echo canceler runs on its own block size over
-the time-domain signals. The frames of the shared frame clock are then
+the time-domain signals, both stages in one block loop when they share
+it (see `raec.cascade_run`). The frames of the shared frame clock are then
 walked in chunks of CHUNK_FRAMES: each chunk's spectra of the cleaned
 error, the echo estimate, the mic and the reference are analysed and
 passed through double-talk probability, the two residual echo power
@@ -15,8 +16,8 @@ between streams.
 
 Memory: no whole-stream spectrogram of an input is built, and synthesis
 inverse-transforms a chunk of frames at a time. The inputs are copied
-only to zero-pad the shorter one and, in each canceler stage, to
-zero-pad a stream that is not a whole number of that stage's blocks.
+only to zero-pad the shorter one and, once per canceler stack, to
+zero-pad a stream that is not a whole number of that stack's blocks.
 What grows with the stream is the canceler's time-domain outputs and the
 enhanced frames (N_BINS complex values per hop, about twice one input's
 float64 size). The peak is in the frame loop, which holds both: about

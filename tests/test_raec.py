@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -112,7 +114,7 @@ class TestRobustControls:
         aec = Raec(RaecParams())
         for _ in range(50):
             aec.process(np.zeros(256), np.zeros(256))
-        assert aec.scale > 0
+        assert aec.stages[0].scale > 0
 
 
 class TestContracts:
@@ -138,6 +140,11 @@ class TestContracts:
         with pytest.raises(ConfigError):
             RaecParams(partitions=0)
 
+    def test_stack_needs_one_block_size_and_iteration_count(self):
+        for other in (RaecParams(frame_size=128), RaecParams(iterations=3)):
+            with pytest.raises(ConfigError):
+                Raec(RaecParams(), other)
+
     def test_determinism(self):
         rng = np.random.default_rng(13)
         x = rng.standard_normal(FS) * 0.1
@@ -161,15 +168,15 @@ class TestStability:
         y = np.convolve(x, g)[:n] + speech_like(30.0, seed=22, rms=0.1)
         y = np.clip(y, -1, 1)
 
-        # the two stages of cascade_run, kept to read their weights
-        stage1, stage2 = Raec(RaecParams()), Raec(RaecParams(partitions=4))
-        e = run_blocks(stage2, x, run_blocks(stage1, x, y))
+        # the stack cascade_run builds, kept to read its stages' weights
+        aec = Raec(RaecParams(), RaecParams(partitions=4))
+        e = run_blocks(aec, x, y)
         assert np.all(np.isfinite(e))
         for sec in range(30):
             sl = slice(sec * FS, (sec + 1) * FS)
             assert np.sum(e[sl] ** 2) <= 10.0 * np.sum(y[sl] ** 2) + 1e-9
-        assert np.all(np.isfinite(stage1.weights))
-        assert np.all(np.isfinite(stage2.weights))
+        assert np.all(np.isfinite(aec.stages[0].weights))
+        assert np.all(np.isfinite(aec.stages[1].weights))
 
 
 BLOCK_KINDS = ("echo", "silent", "burst", "far_end_off")
@@ -279,18 +286,19 @@ class TestExactUpdates:
     def test_shifted_histories_equal_direct_update(self, p, kinds, seed):
         n = p.frame_size
         aec = Raec(p)
+        stage = aec.stages[0]
         windows = np.zeros(2 * n)
-        spectra = np.zeros_like(aec.x_spectra)
-        power = np.zeros_like(aec.x_power)
+        spectra = np.zeros((p.partitions, n + 1), dtype=complex)
+        power = np.zeros_like(stage.x_power)
         for xb, yb in _blocks(n, kinds, seed):
             aec.process(xb, yb)
             windows = np.concatenate((windows[n:], xb))
             spectra[1:] = spectra[:-1]
             spectra[0] = np.fft.rfft(windows)
             power = p.alpha * power + (1 - p.alpha) * np.abs(spectra) ** 2
-            assert np.array_equal(aec.x_spectra, spectra)
-            assert np.array_equal(aec.x_conj, np.conj(spectra))
-            assert np.array_equal(aec.x_power, power)
+            assert np.array_equal(stage.x_spectra, spectra)
+            assert np.array_equal(stage.x_conj, np.conj(spectra))
+            assert np.array_equal(stage.x_power, power)
 
     @given(p=raec_shapes, kinds=block_kinds, seed=st.integers(0, 2**16))
     @settings(max_examples=25, deadline=None)
@@ -302,13 +310,14 @@ class TestExactUpdates:
         # an echo warm-up comes first; clipping with the scale from before
         # the update then breaks the weights within it.
         aec = Raec(p)
+        stage = aec.stages[0]
         ref = PlainRaec(p)
         for xb, yb in _blocks(p.frame_size, ["echo"] * 24 + kinds, seed):
             assert np.array_equal(aec.process(xb, yb), ref.process_block(xb, yb))
-            assert aec.scale == ref.scale
-            assert aec.step_factor == ref.step_factor
-            assert np.array_equal(aec.weights, ref.weights)
-            assert np.array_equal(aec.err_cross, ref.err_cross)
+            assert stage.scale == ref.scale
+            assert stage.step_factor == ref.step_factor
+            assert np.array_equal(stage.weights, ref.weights)
+            assert np.array_equal(stage.err_cross, ref.err_cross)
 
     def test_capped_median_straddling_the_clip_limit(self):
         # The two middle |e| values lie on either side of the clip limit
@@ -321,7 +330,7 @@ class TestExactUpdates:
         ref = PlainRaec(p)
         aec.process(np.zeros(n), y)
         ref.process_block(np.zeros(n), y)
-        assert aec.scale == ref.scale
+        assert aec.stages[0].scale == ref.scale
 
     @given(p=raec_shapes, kinds=block_kinds, n_blocks=st.integers(1, 2 * raec.CHUNK + 2),
            split=st.sampled_from([1, raec.CHUNK - 1, raec.CHUNK, raec.CHUNK + 1, None]),
@@ -339,16 +348,17 @@ class TestExactUpdates:
         y = np.concatenate([yb for _, yb in blocks])
         step = split or n_blocks
         aec = Raec(p)
+        stage = aec.stages[0]
         ref = PlainRaec(p)
         for first in range(0, n_blocks, step):
             sl = slice(first * n, min(first + step, n_blocks) * n)
             e = aec.process(x[sl], y[sl])
             outs = [ref.process_block(xb, yb) for xb, yb in blocks[first:first + step]]
             assert np.array_equal(e, np.concatenate(outs))
-            assert aec.scale == ref.scale
-            assert aec.step_factor == ref.step_factor
-            assert np.array_equal(aec.weights, ref.weights)
-            assert np.array_equal(aec.err_cross, ref.err_cross)
+            assert stage.scale == ref.scale
+            assert stage.step_factor == ref.step_factor
+            assert np.array_equal(stage.weights, ref.weights)
+            assert np.array_equal(stage.err_cross, ref.err_cross)
 
     def test_far_end_table_bounded_on_a_long_stream(self, monkeypatch):
         # Every block of a 60 s stream reads its far-end rows from a table
@@ -358,11 +368,12 @@ class TestExactUpdates:
         tables = []
         block = Raec.process_block
 
-        def spy(self, y_block, inv_norm):
-            tables.append((self.x_spectra.base.shape[0], self.x_conj.base.shape[0],
-                           self.x_conj_scaled.base.shape[0], self.x_power.base.shape[0],
-                           inv_norm.base.shape[0]))
-            return block(self, y_block, inv_norm)
+        def spy(self, y_block):
+            stage = self.stages[0]
+            tables.append((stage.x_spectra.base.shape[0], stage.x_conj.base.shape[0],
+                           stage.x_conj_scaled.base.shape[0], stage.x_power.base.shape[0],
+                           stage.inv_norm.base.shape[0]))
+            return block(self, y_block)
 
         monkeypatch.setattr(Raec, "process_block", spy)
         rng = np.random.default_rng(17)
@@ -407,8 +418,8 @@ class TestWorkBuffers:
                 e = aec.process(x[sl], y[sl])
                 assert np.array_equal(e, alone[k][c])
                 returned[k].append(e)
-        buffers = [[v for v in vars(aec).values() if isinstance(v, np.ndarray)]
-                   for aec in stages]
+        buffers = [[v for obj in (aec, *aec.stages) for v in vars(obj).values()
+                    if isinstance(v, np.ndarray)] for aec in stages]
         outputs = [e for calls_out in returned for e in calls_out]
         for k, own in enumerate(buffers):
             others = [b for j, bufs in enumerate(buffers) if j != k for b in bufs]
@@ -417,3 +428,93 @@ class TestWorkBuffers:
         for k in range(len(stages)):
             for e, e_ref in zip(returned[k], alone[k]):
                 assert e.tobytes() == e_ref.tobytes()
+
+
+def _stage_shapes(n, iterations):
+    """One stage's parameters on a shared block size and iteration count."""
+    return st.builds(RaecParams, frame_size=st.just(n), partitions=st.integers(1, 16),
+                     iterations=st.just(iterations), mu=st.floats(0.05, 1.9),
+                     gamma=st.floats(0.5, 4.0), alpha=st.floats(0.5, 0.995))
+
+
+stacked_pairs = st.tuples(st.sampled_from([64, 128, 256, 512, 1024]), st.integers(1, 4)) \
+    .flatmap(lambda shape: st.tuples(_stage_shapes(*shape), _stage_shapes(*shape)))
+
+
+def _assert_stages_equal(stack, chain):
+    for stage, ref in zip(stack.stages, chain):
+        ref = ref.stages[0]
+        assert stage.scale == ref.scale
+        assert stage.step_factor == ref.step_factor
+        assert np.array_equal(stage.weights, ref.weights)
+        assert np.array_equal(stage.err_cross, ref.err_cross)
+
+
+class TestStack:
+    """A stack of two stages equals the two one-stage stacks chained, the
+    second fed the first's whole output."""
+
+    @given(shapes=stacked_pairs, kinds=block_kinds, silent=st.integers(0, 20),
+           n_blocks=st.integers(1, 2 * raec.CHUNK + 2), data=st.data(),
+           seed=st.integers(0, 2**16))
+    @settings(max_examples=25, deadline=None)
+    def test_stack_equals_chained_stages(self, shapes, kinds, silent, n_blocks, data, seed):
+        # After an echo warm-up, a silent stretch: when stage 2 models more
+        # blocks than stage 1, it still filters far-end history after stage
+        # 1's error has gone silent, so stage 1 skips its coherence update
+        # while stage 2 runs it. Calls take any whole number of blocks.
+        n = shapes[0].frame_size
+        pattern = ["echo"] * 24 + ["silent"] * silent + kinds
+        blocks = list(_blocks(n, [pattern[b % len(pattern)] for b in range(n_blocks)], seed))
+        x = np.concatenate([xb for xb, _ in blocks])
+        y = np.concatenate([yb for _, yb in blocks])
+        sizes = itertools.cycle(data.draw(st.lists(st.integers(1, n_blocks), min_size=1,
+                                                   max_size=8)))
+        stack = Raec(*shapes)
+        chain = [Raec(p) for p in shapes]
+        first = 0
+        while first < n_blocks:
+            last = min(first + next(sizes), n_blocks)
+            sl = slice(first * n, last * n)
+            e = stack.process(x[sl], y[sl])
+            assert np.array_equal(e, chain[1].process(x[sl], chain[0].process(x[sl], y[sl])))
+            _assert_stages_equal(stack, chain)
+            first = last
+
+    def test_one_stage_silent_while_the_other_adapts(self):
+        # Stage 1 models one block of far end, stage 2 eight: from the second
+        # silent block on, stage 1's error is exactly zero and it keeps its
+        # coherence state, while stage 2 still filters far-end history and
+        # updates its own, block for block as the chained stages do.
+        shapes = (RaecParams(partitions=1, mu=0.8, gamma=2.0, alpha=0.8), RaecParams())
+        n = shapes[0].frame_size
+        stack = Raec(*shapes)
+        chain = [Raec(p) for p in shapes]
+        mixed = 0
+        for xb, yb in _blocks(n, ["echo"] * 40 + ["silent"] * 6 + ["echo"] * 4, 41):
+            before = [stage.err_cross.copy() for stage in stack.stages]
+            e = stack.process(xb, yb)
+            assert np.array_equal(e, chain[1].process(xb, chain[0].process(xb, yb)))
+            _assert_stages_equal(stack, chain)
+            kept = [np.array_equal(b, stage.err_cross) for b, stage in zip(before, stack.stages)]
+            mixed += kept == [True, False]
+        assert mixed >= 4
+
+    def test_cascade_runs_a_stack_only_on_a_shared_shape(self, monkeypatch):
+        stacks = []
+        init = Raec.__init__
+
+        def spy(self, *params):
+            stacks.append(len(params))
+            init(self, *params)
+
+        monkeypatch.setattr(Raec, "__init__", spy)
+        x = np.random.default_rng(43).standard_normal(FS // 4) * 0.1
+        for p2, expected in ((RaecParams(partitions=4), [2]),
+                             (RaecParams(frame_size=128), [1, 1]),
+                             (RaecParams(iterations=1), [1, 1])):
+            stacks.clear()
+            e, _ = cascade_run(x, 0.5 * x, RaecParams(), p2)
+            assert stacks == expected
+            assert np.array_equal(e, run_blocks(Raec(p2), x, run_blocks(Raec(RaecParams()), x,
+                                                                        0.5 * x)))
