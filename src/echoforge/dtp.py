@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, require_finite
 from .stft import N_BINS, smooth_frames
 
 COHERENCE_EPS = 1e-10
@@ -45,6 +45,7 @@ class DtpParams:
     tau: float = 0.1              # hysteresis debounce time constant, seconds
 
     def __post_init__(self):
+        require_finite(self)
         for name in ("a01", "a10", "b01", "b10"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, require_finite
 from .stft import N_BINS
 
 NOISE_FLOOR = 1e-12
@@ -29,6 +29,7 @@ class NpeParams:
     alpha_npe: float = 0.9         # noise PSD smoothing
 
     def __post_init__(self):
+        require_finite(self)
         if self.xi_h1 <= 0:
             raise ConfigError(f"xi_h1 must be > 0, got {self.xi_h1}")
         if not 0.0 < self.p_threshold < 1.0:

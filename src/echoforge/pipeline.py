@@ -3,27 +3,27 @@
 Per stream: the cascaded echo canceler runs on its own block size over
 the time-domain signals, both stages in one block loop when they share
 it (see `raec.cascade_run`). The frames of the shared frame clock are then
-walked in chunks of CHUNK_FRAMES: each chunk's spectra of the cleaned
-error, the echo estimate, the mic and the reference are analysed and
-passed through double-talk probability, the two residual echo power
-trackers, noise power estimation, the masking suppressor and the voice
-activity detector. Within a chunk, each stage computes what needs no
-earlier output as array operations and runs only its own recursion frame
-by frame, so the output does not depend on the chunk size. Everything is
-deterministic given inputs and parameters; the per-stream estimator state
-(held inside process_stream) is strictly sequential and never shared
-between streams.
+walked in chunks of CHUNK_FRAMES: each chunk's spectra of the mic Y, the
+reference and the cleaned error E are analysed, Y - E being the echo
+estimate's, and passed through double-talk probability, the two residual
+echo power trackers, noise power estimation, the masking suppressor and
+the voice activity detector. Within a chunk, each stage computes what
+needs no earlier output as array operations and runs only its own
+recursion frame by frame, so the output does not depend on the chunk
+size. Everything is deterministic given inputs and parameters; the
+per-stream estimator state (held inside process_stream) is strictly
+sequential and never shared between streams.
 
 Memory: no whole-stream spectrogram of an input is built, and synthesis
 inverse-transforms a chunk of frames at a time. The inputs are copied
 only to zero-pad the shorter one and, once per canceler stack, to
 zero-pad a stream that is not a whole number of that stack's blocks.
-What grows with the stream is the canceler's time-domain outputs and the
-enhanced frames (N_BINS complex values per hop, about twice one input's
-float64 size). The peak is in the frame loop, which holds both: about
-4.4 times one input's size beyond the inputs on a 60 s stream. The
-traced (tracemalloc) peak measured 7.7 MB for a 10 s stream and 33.5 MB
-for 60 s.
+What grows with the stream is the canceler's error and the enhanced
+frames (N_BINS complex values per hop, about twice one input's float64
+size). The peak is in the frame loop, which holds both: about 3.3 times
+one input's size beyond the inputs on a 60 s stream. The traced
+(tracemalloc) peak measured 6.3 MB for a 10 s stream and 25.6 MB for
+60 s.
 
 Input is at SAMPLE_RATE (16 kHz). Output sample n depends on input
 samples up to n + FRAME_LEN - 1 (one analysis frame of lookahead from the
@@ -98,11 +98,11 @@ def process_stream(mic: AudioBuffer, reference: AudioBuffer,
     length = max(len(mic), len(reference))
     y = pad_to(mic.samples, length)
     x = pad_to(reference.samples, length)
-    e, d_hat = cascade_run(x, y, params.raec1, params.raec2)
-    # The spectra are taken a chunk at a time from these four signals, and
+    e = cascade_run(x, y, params.raec1, params.raec2)
+    # The spectra are taken a chunk at a time from these three signals, and
     # the signals are dropped before synthesis.
-    signals = [AudioBuffer(s) for s in (y, x, e, d_hat)]
-    del y, x, e, d_hat
+    signals = [AudioBuffer(s) for s in (y, x, e)]
+    del y, x, e
     n_frames = -(-length // HOP)
 
     dtp = DtpEstimator(params.dtp)
@@ -123,8 +123,8 @@ def process_stream(mic: AudioBuffer, reference: AudioBuffer,
 
     for start in range(0, n_frames, CHUNK_FRAMES):
         c = slice(start, start + CHUNK_FRAMES)
-        spec_y, spec_x, spec_e, spec_d = (analyze(s, start, CHUNK_FRAMES) for s in signals)
-        p_dt = np.array(dtp.process(spec_d, spec_y))
+        spec_y, spec_x, spec_e = (analyze(s, start, CHUNK_FRAMES) for s in signals)
+        p_dt = np.array(dtp.process(spec_y - spec_e, spec_y))  # echo estimate y - e
         power_high, power_low = rpe.process(spec_y, spec_e, spec_x)
         residual_power = combine_residual_power(power_high, power_low, p_dt[:, None])
         error_power = np.abs(spec_e) ** 2
@@ -152,9 +152,12 @@ def measure_erle(mic: AudioBuffer, enhanced: AudioBuffer,
                  window_seconds: float = 1.0) -> np.ndarray:
     """Windowed echo reduction of the enhanced output against the mic;
     InputError if their lengths differ, ConfigError if the window is not
-    finite or rounds to less than one sample."""
-    window = (int(round(window_seconds * mic.sample_rate))
-              if math.isfinite(window_seconds) else 0)
+    finite or rounds to less than one sample. A window longer than the
+    signal reads it as one window, however long it is."""
+    # capped at the signal first, so that a huge finite window cannot
+    # overflow the rounding
+    samples = min(max(window_seconds * mic.sample_rate, 0.0), max(len(mic), 1))
+    window = int(round(samples)) if math.isfinite(window_seconds) else 0
     if window < 1:
         raise ConfigError(
             f"window must be finite and at least one sample, got {window_seconds} s")

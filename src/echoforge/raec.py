@@ -26,10 +26,10 @@ work buffers made once per stack. The stages' weights are rows of one
 array, so each block makes the same transforms whatever the stage count:
 one inverse transform for all echo estimates, one transform for all
 errors, and one gradient constraint over all partitions. A stack maps
-the microphone signal to its last stage's error alone. `cascade_run`
-runs two stages as one stack when they share the block size and
-iteration count (the defaults do), else as two one-stage stacks in turn;
-both give the bits of the stages run one after the other.
+the microphone signal to its last stage's error alone, and so does
+`cascade_run`: it runs two stages as one stack when they share the block
+size and iteration count (the defaults do), else as two one-stage stacks
+in turn; both give the bits of the stages run one after the other.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ConfigError, InputError
+from .errors import ConfigError, InputError, require_finite
 from .stft import smooth_frames
 
 # NLMS normalization regularizer.
@@ -76,6 +76,7 @@ class RaecParams:
     alpha: float = 0.9             # PSD smoothing / downward scale smoothing
 
     def __post_init__(self):
+        require_finite(self)
         n = self.frame_size
         if n <= 0 or (n & (n - 1)) != 0:
             raise ConfigError(f"frame_size must be a power of two, got {n}")
@@ -440,15 +441,11 @@ def cascade_run(x: np.ndarray, y: np.ndarray, params1: RaecParams,
     one block loop over both, and the cascade keeps the latency of one
     block; otherwise each runs as its own one-stage stack on its own block
     size, the second on the first's whole output. Both ways give the same
-    bits. Returns (e, d_hat): the cascade's error and its total echo
-    estimate y - e, formed once at the end.
+    bits. Returns the cascade's error e alone; its echo estimate is y - e.
     """
     if (params1.frame_size, params1.iterations) == (params2.frame_size, params2.iterations):
-        e = run_blocks(Raec(params1, params2), x, y)
-    else:
-        e = run_blocks(Raec(params1), x, y)
-        e = run_blocks(Raec(params2), x, e)
-    return e, pad_to(np.asarray(y, dtype=float), len(e)) - e
+        return run_blocks(Raec(params1, params2), x, y)
+    return run_blocks(Raec(params2), x, run_blocks(Raec(params1), x, y))
 
 
 def pad_to(signal: np.ndarray, length: int) -> np.ndarray:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ConfigError
+from .errors import ConfigError, require_finite
 from .stft import N_BINS, smooth_frames
 
 COUPLING_REG = 1e-8
@@ -31,6 +31,7 @@ class RpeParams:
     alpha_low: float = 0.92
 
     def __post_init__(self):
+        require_finite(self)
         if self.partitions_high < 1 or self.partitions_low < 1:
             raise ConfigError("partition counts must be >= 1")
         for name in ("alpha_high", "alpha_low"):

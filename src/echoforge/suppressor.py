@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import exp1
 
-from .errors import ConfigError
+from .errors import ConfigError, require_finite
 from .stft import N_BINS
 
 POWER_FLOOR = 1e-12
@@ -45,6 +45,7 @@ class SuppressorParams:
     cap_at_unity: bool = False
 
     def __post_init__(self):
+        require_finite(self)
         if not 0.0 <= self.alpha_dd < 1.0:
             raise ConfigError(f"alpha_dd must be in [0, 1), got {self.alpha_dd}")
         if not 0.0 <= self.g_min <= 1.0:

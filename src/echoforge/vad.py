@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, require_finite
 from .stft import FRAME_LEN, HOP
 
 
@@ -25,6 +25,7 @@ class VadParams:
     hangover: int = 8
 
     def __post_init__(self):
+        require_finite(self)
         if self.hangover < 0:
             raise ConfigError(f"hangover must be >= 0, got {self.hangover}")
 

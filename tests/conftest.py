@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 from scipy.signal import lfilter
 
 from echoforge.audio import AudioBuffer, write_wav
@@ -46,6 +47,23 @@ def stationary_noise(duration: float, fs: int = FS, seed: int = 2,
     n = int(round(duration * fs))
     sig = lfilter([1.0], [1.0, -0.6], rng.standard_normal(n))
     return sig * (rms / np.sqrt(np.mean(sig**2)))
+
+
+EDGE_KINDS = ("zero", "dc", "clipped", "noise")
+# empty, one sample, frame-boundary lengths, and anything up to 0.75 s
+edge_lengths = st.one_of(st.sampled_from([0, 1, 255, 256, 257, 512]),
+                         st.integers(0, 3 * FS // 4))
+
+
+def edge_signal(kind, n, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "zero":
+        return np.zeros(n)
+    if kind == "dc":
+        return np.full(n, rng.choice([-1.0, -0.5, 0.5, 1.0]))
+    if kind == "clipped":  # full scale, hard-clipped
+        return np.clip(4.0 * rng.standard_normal(n), -1.0, 1.0)
+    return 0.1 * rng.standard_normal(n)
 
 
 @pytest.fixture(scope="session")

@@ -99,7 +99,7 @@ def test_02_raec_convergence():
     y = np.convolve(x, g)[: len(x)]
     e1 = run_blocks(Raec(RaecParams()), x, y)
     erle_single = 10 * np.log10(np.sum(y[-FS:] ** 2) / np.sum(e1[-FS:] ** 2))
-    e2, _ = cascade_run(x, y, RaecParams(), RaecParams(partitions=4))
+    e2 = cascade_run(x, y, RaecParams(), RaecParams(partitions=4))
     erle_cascade = 10 * np.log10(np.sum(y[-FS:] ** 2) / np.sum(e2[-FS:] ** 2))
     elapsed = time.time() - start
     assert erle_single >= 20.0

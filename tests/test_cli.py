@@ -150,6 +150,13 @@ class TestMetrics:
         assert "erle_db_window" not in captured.out
         assert "window" in captured.err
 
+    def test_window_longer_than_the_signal_reads_one_window(self, wav_pair, capsys):
+        mic, _ = wav_pair
+        assert main(["metrics", mic, mic, "--window", "1e308"]) == 0
+        out = capsys.readouterr().out
+        assert "erle_db_window_0 = 0.00" in out
+        assert "erle_db_window_1" not in out
+
     def test_rate_mismatch_exit_2_naming_both(self, tmp_path, capsys):
         # same length, so only the rate tells them apart
         samples = speech_like(0.5, seed=83, rms=0.05)

@@ -93,6 +93,27 @@ class TestParamSchema:
             field("nope")
 
 
+# Every float field of the six stage dataclasses, by (class, field name).
+STAGE_FLOAT_FIELDS = [(cls, f.name) for cls in (RaecParams, DtpParams, RpeParams, NpeParams,
+                                                SuppressorParams, VadParams)
+                      for f in fields(cls) if f.type == "float"]
+
+
+class TestStageParamsFinite:
+    def test_every_stage_has_float_fields(self):
+        assert {cls for cls, _ in STAGE_FLOAT_FIELDS} == {
+            RaecParams, DtpParams, RpeParams, NpeParams, SuppressorParams, VadParams}
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")],
+                             ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("cls, name", STAGE_FLOAT_FIELDS,
+                             ids=[f"{cls.__name__}.{name}" for cls, name in STAGE_FLOAT_FIELDS])
+    def test_non_finite_value_rejected_by_name(self, cls, name, value):
+        # in library use too, not only through the schema bounds
+        with pytest.raises(ConfigError, match=f"^{name} must be finite"):
+            cls(**{name: value})
+
+
 class TestBuildPipelineParams:
     def test_defaults_build(self):
         params = build_pipeline_params()

@@ -10,15 +10,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from echoforge.audio import AudioBuffer
+from echoforge.dtp import DtpEstimator
 from echoforge.errors import ConfigError, InputError
 from echoforge.metrics import SEGSNR_FRAME, erle_windows, segmental_snr
 from echoforge.params import build_pipeline_params
 from echoforge import pipeline
 from echoforge.pipeline import (Diagnostics, measure_erle, process_stream,
                                 write_diagnostics_file)
-from echoforge.stft import FRAME_LEN
+from echoforge.raec import cascade_run, pad_to
+from echoforge.stft import FRAME_LEN, analyze
 from echoforge.suppressor import Suppressor, SuppressorParams
-from conftest import music_like, speech_like
+from conftest import EDGE_KINDS, edge_lengths, edge_signal, music_like, speech_like
 from scipy.signal import fftconvolve
 
 FS = 16000
@@ -121,23 +123,6 @@ class TestContracts:
         assert np.array_equal(out_a[: cut - FRAME_LEN], out_b[: cut - FRAME_LEN])
 
 
-EDGE_KINDS = ("zero", "dc", "clipped", "noise")
-# empty, one sample, frame-boundary lengths, and anything up to 0.75 s
-edge_lengths = st.one_of(st.sampled_from([0, 1, 255, 256, 257, 512]),
-                         st.integers(0, 3 * FS // 4))
-
-
-def _edge_signal(kind, n, seed):
-    rng = np.random.default_rng(seed)
-    if kind == "zero":
-        return np.zeros(n)
-    if kind == "dc":
-        return np.full(n, rng.choice([-1.0, -0.5, 0.5, 1.0]))
-    if kind == "clipped":  # full scale, hard-clipped
-        return np.clip(4.0 * rng.standard_normal(n), -1.0, 1.0)
-    return 0.1 * rng.standard_normal(n)
-
-
 class TestImportCost:
     def test_import_does_not_load_scipy_signal(self):
         # scipy.signal roughly doubles the time and memory of `import
@@ -159,8 +144,8 @@ class TestEdgeInputs:
     @example(mic_kind="dc", ref_kind="dc", mic_len=109, ref_len=3288, seed=1)
     def test_output_is_finite_at_mic_length(self, mic_kind, ref_kind, mic_len,
                                             ref_len, seed):
-        mic = AudioBuffer(_edge_signal(mic_kind, mic_len, seed), FS)
-        ref = AudioBuffer(_edge_signal(ref_kind, ref_len, seed + 1), FS)
+        mic = AudioBuffer(edge_signal(mic_kind, mic_len, seed), FS)
+        ref = AudioBuffer(edge_signal(ref_kind, ref_len, seed + 1), FS)
         result = process_stream(mic, ref)
         assert len(result.enhanced) == mic_len
         assert result.enhanced.sample_rate == FS
@@ -209,6 +194,33 @@ class TestChunkedChain:
                                       getattr(first.diagnostics, trace.name)), trace.name
 
 
+class TestEchoEstimate:
+    def test_dtp_reads_the_spectrum_of_mic_minus_error(self, monkeypatch):
+        # The double-talk detector's echo estimate is y - e, handed over as
+        # the chunk's Y - E; it equals the analysed y - e up to rounding. A
+        # reference longer than the mic, so the mic is zero-padded.
+        mic, ref = _echo_scenario(duration=1.3, seed=27, with_speech=True)
+        mic = AudioBuffer(mic.samples[:20001], FS)
+        seen = []
+        process = DtpEstimator.process
+
+        def spy(self, d, y):
+            seen.append(d.copy())
+            return process(self, d, y)
+
+        monkeypatch.setattr(DtpEstimator, "process", spy)
+        params = build_pipeline_params()
+        process_stream(mic, ref, params)
+        y = pad_to(mic.samples, len(ref))
+        e = cascade_run(ref.samples, y, params.raec1, params.raec2)
+        expected = analyze(AudioBuffer(y - e, FS))
+        assert len(seen) == -(-len(expected) // pipeline.CHUNK_FRAMES)
+        got = np.concatenate(seen)
+        assert got.shape == expected.shape
+        peak = max(np.max(np.abs(analyze(AudioBuffer(s, FS)))) for s in (y, e))
+        assert np.max(np.abs(got - expected)) <= 1e-12 * peak
+
+
 class TestInputsUntouched:
     @pytest.mark.parametrize("mic_len, ref_len", [(20480, 20480), (20001, 14999),
                                                   (14999, 20001)],
@@ -235,9 +247,10 @@ class TestInputsUntouched:
 
 # Bound on the traced peak of process_stream, in multiples of one input's
 # float64 size. Holding four whole-stream spectrograms it measured about
-# 20x; analysing a chunk at a time it measures about 5.5x on 30 s, and
-# 4.7x with synthesis a chunk at a time too.
-PEAK_PER_INPUT = 9.0
+# 20x; analysing a chunk at a time it measured about 5.5x on 30 s, 4.7x
+# with synthesis a chunk at a time too, and 3.66x (numpy 2.4) once the
+# echo estimate's spectrum came from Y - E instead of a whole-stream y - e.
+PEAK_PER_INPUT = 4.2
 
 
 class TestPeakMemory:
@@ -365,11 +378,20 @@ class TestErle:
         with pytest.raises(InputError):
             measure_erle(AudioBuffer(x, FS), AudioBuffer(x[:-1], FS))
 
-    @pytest.mark.parametrize("window", [0.0, -1.0, 1e-5, float("nan"), float("inf")])
+    @pytest.mark.parametrize("window", [0.0, -1.0, 1e-5, float("nan"), float("inf"),
+                                        -1e308])
     def test_window_below_one_sample_or_not_finite_rejected(self, window):
         x = speech_like(1.0, seed=23)
         with pytest.raises(ConfigError, match="window"):
             measure_erle(AudioBuffer(x, FS), AudioBuffer(x / 2, FS), window)
+
+    def test_window_longer_than_the_signal_is_one_window(self):
+        # 1e308 s is finite, but its sample count overflows to infinity
+        x = speech_like(1.0, seed=24)[:100]
+        mic, enhanced = AudioBuffer(x, FS), AudioBuffer(x / 3, FS)
+        one = measure_erle(mic, enhanced, 1.0)
+        assert len(one) == 1
+        assert np.array_equal(measure_erle(mic, enhanced, 1e308), one)
 
     def test_windowed_lengths(self):
         x = speech_like(2.5, seed=21)

@@ -34,9 +34,8 @@ class TestPassthrough:
     def test_zero_far_end_cascade(self):
         rng = np.random.default_rng(1)
         y = rng.standard_normal(FS) * 0.3
-        e, d_hat = cascade_run(np.zeros(FS), y, RaecParams(), RaecParams(partitions=4))
+        e = cascade_run(np.zeros(FS), y, RaecParams(), RaecParams(partitions=4))
         assert np.array_equal(e, y)
-        assert not d_hat.any()
 
 
 class TestConvergence:
@@ -64,10 +63,8 @@ class TestConvergence:
         e1 = run_blocks(single, x, y)
         erle_single = 10 * np.log10(np.sum(y[-FS:] ** 2) / np.sum(e1[-FS:] ** 2))
 
-        e2, d_hat = cascade_run(x, y, RaecParams(), RaecParams(partitions=4))
+        e2 = cascade_run(x, y, RaecParams(), RaecParams(partitions=4))
         erle_cascade = 10 * np.log10(np.sum(y[-FS:] ** 2) / np.sum(e2[-FS:] ** 2))
-        # the total echo estimate is the mic minus the cascade's error
-        assert np.array_equal(d_hat, y - e2)
 
         assert erle_single >= 20.0
         assert erle_cascade >= erle_single
@@ -78,7 +75,7 @@ class TestConvergence:
         rng = np.random.default_rng(11)
         x = rng.standard_normal(10 * FS) * 0.1
         s = speech_like(10.0, seed=12, rms=0.03)
-        e, _ = cascade_run(x, s, RaecParams(), RaecParams(partitions=4))
+        e = cascade_run(x, s, RaecParams(), RaecParams(partitions=4))
         tail = slice(5 * FS, None)
         distortion = np.sum((e[tail] - s[tail]) ** 2) / np.sum(s[tail] ** 2)
         assert distortion < 0.01
@@ -92,7 +89,7 @@ class TestConvergence:
 
         single = Raec(RaecParams())
         e_single = run_blocks(single, x, y)
-        e_cascade, _ = cascade_run(x, y, RaecParams(), RaecParams(partitions=4, mu=1e-9))
+        e_cascade = cascade_run(x, y, RaecParams(), RaecParams(partitions=4, mu=1e-9))
         # a second stage that cannot adapt leaves the first stage's error intact
         assert np.allclose(e_cascade, e_single, atol=1e-6)
 
@@ -514,7 +511,7 @@ class TestStack:
                              (RaecParams(frame_size=128), [1, 1]),
                              (RaecParams(iterations=1), [1, 1])):
             stacks.clear()
-            e, _ = cascade_run(x, 0.5 * x, RaecParams(), p2)
+            e = cascade_run(x, 0.5 * x, RaecParams(), p2)
             assert stacks == expected
             assert np.array_equal(e, run_blocks(Raec(p2), x, run_blocks(Raec(RaecParams()), x,
                                                                         0.5 * x)))

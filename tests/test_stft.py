@@ -15,6 +15,7 @@ from echoforge.errors import ConfigError, InputError
 from echoforge.stft import (FRAME_LEN, HOP, N_BINS, SAMPLE_RATE, SYNTHESIS_CHUNK, WINDOW,
                             analyze, synthesize)
 from echoforge.vad import VadParams
+from conftest import EDGE_KINDS, edge_lengths, edge_signal
 
 FS = 16000
 
@@ -79,6 +80,18 @@ class TestAnalyze:
         lhs = analyze(combo)
         rhs = a * analyze(x) + b * analyze(y)
         assert np.allclose(lhs, rhs, atol=1e-9)
+
+    @settings(max_examples=60, deadline=None)
+    @given(kinds=st.tuples(st.sampled_from(EDGE_KINDS), st.sampled_from(EDGE_KINDS)),
+           n=edge_lengths, seed=st.integers(0, 2**16))
+    def test_difference_of_spectra_is_spectrum_of_difference(self, kinds, n, seed):
+        # The pipeline hands the double-talk detector Y - E as the spectrum
+        # of the echo estimate y - e; analysis is linear up to rounding.
+        a, b = (edge_signal(kind, n, seed + i) for i, kind in enumerate(kinds))
+        spec_a, spec_b = (analyze(AudioBuffer(s, FS)) for s in (a, b))
+        peak = max(np.max(np.abs(s), initial=0.0) for s in (spec_a, spec_b))
+        diff = analyze(AudioBuffer(a - b, FS))
+        assert np.max(np.abs(spec_a - spec_b - diff), initial=0.0) <= 1e-12 * peak
 
     def test_frame_indexing_covers_input(self):
         frames = analyze(_random_buffer(1000, seed=3))
