@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, require_finite
-from .stft import N_BINS, smooth_frames
+from .errors import ConfigError, gene, require_finite
+from .stft import HOP, N_BINS, SAMPLE_RATE, smooth_frames
 
 COHERENCE_EPS = 1e-10
 SILENCE_POWER = 1e-12
@@ -33,16 +33,16 @@ SILENCE_POWER = 1e-12
 
 @dataclass(frozen=True)
 class DtpParams:
-    a01: float = 0.01
-    a10: float = 0.01
-    b01: float = 0.1
-    b10: float = 0.1
-    alpha: float = 0.9            # PSD smoothing
-    beta: float = 0.7             # probability smoothing
-    k_begin: int = 10             # coherence band start: bin 10 = 312.5 Hz
-    k_end: int = 109              # coherence band end: bin 109 = 3406.25 Hz
-    frame_duration: float = 0.016  # seconds per frame hop
-    tau: float = 0.1              # hysteresis debounce time constant, seconds
+    a01: float = gene(0.01, 1e-4, 0.5, "log")
+    a10: float = gene(0.01, 1e-4, 0.5, "log")
+    b01: float = gene(0.1, 0.0, 1.0)
+    b10: float = gene(0.1, 0.0, 1.0)
+    alpha: float = gene(0.9, 0.5, 0.995)    # PSD smoothing
+    beta: float = gene(0.7, 0.0, 0.99)      # probability smoothing
+    k_begin: int = gene(10, 0, 64)          # coherence band start: bin 10 = 312.5 Hz
+    k_end: int = gene(109, 65, 256)         # coherence band end: bin 109 = 3406.25 Hz
+    frame_duration: float = gene(HOP / SAMPLE_RATE, 0.004, 0.064)  # seconds per frame hop
+    tau: float = gene(0.1, 0.01, 1.0, "log")  # hysteresis debounce time constant, seconds
 
     def __post_init__(self):
         require_finite(self)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, require_finite
+from .errors import ConfigError, gene, require_finite
 from .stft import N_BINS
 
 NOISE_FLOOR = 1e-12
@@ -23,10 +23,10 @@ COLD_START_FRAMES = 10
 
 @dataclass(frozen=True)
 class NpeParams:
-    xi_h1: float = 10.0 ** 1.5     # fixed active-speech a-priori SNR (linear)
-    p_threshold: float = 0.99      # stuck-estimate guard level
-    alpha_p: float = 0.9           # speech-probability smoothing
-    alpha_npe: float = 0.9         # noise PSD smoothing
+    xi_h1: float = gene(15.0, 5.0, 30.0, db=True)  # fixed active-speech a-priori SNR
+    p_threshold: float = gene(0.99, 0.8, 0.999)    # stuck-estimate guard level
+    alpha_p: float = gene(0.9, 0.5, 0.99)          # speech-probability smoothing
+    alpha_npe: float = gene(0.9, 0.5, 0.95)        # noise PSD smoothing
 
     def __post_init__(self):
         require_finite(self)

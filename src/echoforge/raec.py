@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ConfigError, InputError, require_finite
+from .errors import ConfigError, InputError, gene, require_finite
 from .stft import smooth_frames
 
 # NLMS normalization regularizer.
@@ -68,12 +68,12 @@ COHERENCE_FULL_SCALE = 0.30
 
 @dataclass(frozen=True)
 class RaecParams:
-    frame_size: int = 256          # block advance; FFT size is twice this
-    partitions: int = 8
-    iterations: int = 2            # weight updates per block
-    mu: float = 0.5                # NLMS step size
-    gamma: float = 1.5             # clip threshold in units of the robust scale
-    alpha: float = 0.9             # PSD smoothing / downward scale smoothing
+    frame_size: int = gene(256, 64, 1024, "pow2")  # block advance; FFT size is twice this
+    partitions: int = gene(8, 1, 16)
+    iterations: int = gene(2, 1, 4)          # weight updates per block
+    mu: float = gene(0.5, 0.05, 1.9)         # NLMS step size
+    gamma: float = gene(1.5, 0.5, 4.0)       # clip threshold in units of the robust scale
+    alpha: float = gene(0.9, 0.5, 0.995)     # PSD smoothing / downward scale smoothing
 
     def __post_init__(self):
         require_finite(self)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ConfigError, require_finite
+from .errors import ConfigError, gene, require_finite
 from .stft import N_BINS, smooth_frames
 
 COUPLING_REG = 1e-8
@@ -25,10 +25,10 @@ COUPLING_REG = 1e-8
 
 @dataclass(frozen=True)
 class RpeParams:
-    partitions_high: int = 4
-    partitions_low: int = 2
-    alpha_high: float = 0.92
-    alpha_low: float = 0.92
+    partitions_high: int = gene(4, 1, 8)
+    partitions_low: int = gene(2, 1, 8)
+    alpha_high: float = gene(0.92, 0.5, 0.995)
+    alpha_low: float = gene(0.92, 0.5, 0.995)
 
     def __post_init__(self):
         require_finite(self)

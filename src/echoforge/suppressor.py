@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import exp1
 
-from .errors import ConfigError, require_finite
+from .errors import ConfigError, gene, require_finite
 from .stft import N_BINS
 
 POWER_FLOOR = 1e-12
@@ -37,11 +37,11 @@ V_FLOOR = 1e-10
 
 @dataclass(frozen=True)
 class SuppressorParams:
-    alpha_dd: float = 0.98
-    g_min: float = 0.1
-    theta1: float = 10.0 ** -0.5   # linear a-priori SNR thresholds
-    theta2: float = 10.0 ** 0.5
-    mask_alpha: float = 0.5
+    alpha_dd: float = gene(0.98, 0.8, 0.999)
+    g_min: float = gene(0.1, 0.0, 1.0)
+    theta1: float = gene(-5.0, -30.0, 10.0, db=True)  # a-priori SNR thresholds
+    theta2: float = gene(5.0, -10.0, 30.0, db=True)
+    mask_alpha: float = gene(0.5, 0.0, 2.0)
     cap_at_unity: bool = False
 
     def __post_init__(self):

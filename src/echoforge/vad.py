@@ -15,14 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, require_finite
-from .stft import FRAME_LEN, HOP
+from .errors import ConfigError, gene, require_finite
+from .stft import FRAME_LEN, HOP, N_BINS
 
 
 @dataclass(frozen=True)
 class VadParams:
-    threshold: float = 38.55   # 0.15 per bin over the 257 bins of the stft clock
-    hangover: int = 8
+    threshold: float = gene(0.15 * N_BINS, 0.0, 200.0)  # 0.15 per bin of the stft clock
+    hangover: int = gene(8, 0, 32)
 
     def __post_init__(self):
         require_finite(self)

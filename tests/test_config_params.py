@@ -92,11 +92,62 @@ class TestParamSchema:
         with pytest.raises(ConfigError):
             field("nope")
 
+    def test_search_space_pinned(self):
+        # the GA draws genes in this order, by these kinds and bounds
+        rows = [(f.name, f.kind, f.default, f.low, f.high) for f in SCHEMA]
+        assert rows == SEARCH_SPACE
+        assert [tuple(map(type, row)) for row in rows] == \
+            [tuple(map(type, row)) for row in SEARCH_SPACE]
 
-# Every float field of the six stage dataclasses, by (class, field name).
-STAGE_FLOAT_FIELDS = [(cls, f.name) for cls in (RaecParams, DtpParams, RpeParams, NpeParams,
-                                                SuppressorParams, VadParams)
+
+# SCHEMA as a table: name, kind, default, low, high, each value of its type.
+SEARCH_SPACE = [
+    ('raec1.frame_size', 'pow2', 256, 64, 1024),
+    ('raec1.partitions', 'int', 8, 1, 16),
+    ('raec1.iterations', 'int', 2, 1, 4),
+    ('raec1.mu', 'real', 0.5, 0.05, 1.9),
+    ('raec1.gamma', 'real', 1.5, 0.5, 4.0),
+    ('raec1.alpha', 'real', 0.9, 0.5, 0.995),
+    ('raec2.frame_size', 'pow2', 256, 64, 1024),
+    ('raec2.partitions', 'int', 4, 1, 16),
+    ('raec2.iterations', 'int', 2, 1, 4),
+    ('raec2.mu', 'real', 0.5, 0.05, 1.9),
+    ('raec2.gamma', 'real', 1.5, 0.5, 4.0),
+    ('raec2.alpha', 'real', 0.9, 0.5, 0.995),
+    ('dtp.a01', 'log', 0.01, 0.0001, 0.5),
+    ('dtp.a10', 'log', 0.01, 0.0001, 0.5),
+    ('dtp.b01', 'real', 0.1, 0.0, 1.0),
+    ('dtp.b10', 'real', 0.1, 0.0, 1.0),
+    ('dtp.alpha', 'real', 0.9, 0.5, 0.995),
+    ('dtp.beta', 'real', 0.7, 0.0, 0.99),
+    ('dtp.k_begin', 'int', 10, 0, 64),
+    ('dtp.k_end', 'int', 109, 65, 256),
+    ('dtp.frame_duration', 'real', 0.016, 0.004, 0.064),
+    ('dtp.tau', 'log', 0.1, 0.01, 1.0),
+    ('rpe.partitions_high', 'int', 4, 1, 8),
+    ('rpe.partitions_low', 'int', 2, 1, 8),
+    ('rpe.alpha_high', 'real', 0.92, 0.5, 0.995),
+    ('rpe.alpha_low', 'real', 0.92, 0.5, 0.995),
+    ('npe.xi_h1_db', 'real', 15.0, 5.0, 30.0),
+    ('npe.p_threshold', 'real', 0.99, 0.8, 0.999),
+    ('npe.alpha_p', 'real', 0.9, 0.5, 0.99),
+    ('npe.alpha_npe', 'real', 0.9, 0.5, 0.95),
+    ('ns.alpha_dd', 'real', 0.98, 0.8, 0.999),
+    ('ns.g_min', 'real', 0.1, 0.0, 1.0),
+    ('ns.theta1_db', 'real', -5.0, -30.0, 10.0),
+    ('ns.theta2_db', 'real', 5.0, -10.0, 30.0),
+    ('ns.mask_alpha', 'real', 0.5, 0.0, 2.0),
+    ('vad.threshold', 'real', 38.55, 0.0, 200.0),
+    ('vad.hangover', 'int', 8, 0, 32),
+]
+
+
+STAGE_CLASSES = (RaecParams, DtpParams, RpeParams, NpeParams, SuppressorParams, VadParams)
+# Every float and every int field of the six stage dataclasses, by (class, field name).
+STAGE_FLOAT_FIELDS = [(cls, f.name) for cls in STAGE_CLASSES
                       for f in fields(cls) if f.type == "float"]
+STAGE_INT_FIELDS = [(cls, f.name) for cls in STAGE_CLASSES
+                    for f in fields(cls) if f.type == "int"]
 
 
 class TestStageParamsFinite:
@@ -114,6 +165,19 @@ class TestStageParamsFinite:
             cls(**{name: value})
 
 
+class TestStageParamsInteger:
+    def test_every_int_field_listed(self):
+        assert len(STAGE_INT_FIELDS) == 8
+
+    @pytest.mark.parametrize("cls, name", STAGE_INT_FIELDS,
+                             ids=[f"{cls.__name__}.{name}" for cls, name in STAGE_INT_FIELDS])
+    def test_non_integral_value_rejected_by_name(self, cls, name):
+        # in library use too: the stage would otherwise build and then fail
+        # with TypeError on an array size, or run on a fractional count
+        with pytest.raises(ConfigError, match=f"^{name} must be an integer, got 2.5$"):
+            cls(**{name: 2.5})
+
+
 class TestBuildPipelineParams:
     def test_defaults_build(self):
         params = build_pipeline_params()
@@ -122,7 +186,7 @@ class TestBuildPipelineParams:
         assert params.suppressor.theta1 == pytest.approx(10 ** -0.5)
 
     def test_schema_defaults_equal_stage_defaults(self):
-        # each default is written twice: in SCHEMA and in its stage dataclass
+        # SCHEMA takes each default from its stage field, raec2's partitions aside
         assert build_pipeline_params() == PipelineParams(
             RaecParams(), RaecParams(partitions=4), DtpParams(), RpeParams(),
             NpeParams(), SuppressorParams(), VadParams())

@@ -82,6 +82,16 @@ class TestGaRun:
         for g in SPHERE_GENES:
             assert result.best_params[g] == pytest.approx(0.3, abs=0.05)
 
+    def test_sphere_optimum_approached_over_seeds(self):
+        # the search, not one random stream: over ten GA seeds the median
+        # run's worst sphere gene lies within 0.05 of the optimum
+        worst = []
+        for seed in range(10):
+            cfg = GaConfig(population=40, elite=10, generations=10, seed=seed)
+            best = ga_run(cfg, default_bounds(), sphere).best_params
+            worst.append(max(abs(best[g] - 0.3) for g in SPHERE_GENES))
+        assert np.median(worst) <= 0.05, worst
+
     def test_degenerate_run_returns_best_of_initial(self):
         cfg = GaConfig(population=12, elite=2, generations=1,
                        mutation_rate=0.0, crossover_rate=0.0, seed=7)
