@@ -120,17 +120,12 @@ def normalize_ir(ir: AudioBuffer, name: str = "impulse response") -> AudioBuffer
     return AudioBuffer(ir.samples / np.sqrt(energy), ir.sample_rate)
 
 
-def gain_for_ser(speech: AudioBuffer, echo: AudioBuffer, ser_db: float,
+def gain_for_ser(e_s: float, e_d: float, ser_db: float,
                  names=("speech signal", "echo signal")) -> float:
-    """Gain g realizing 10*log10(E_s / (g^2 E_d)) = ser_db; the same formula
-    gives the noise gain for a speech-to-noise ratio. A silent signal is an
-    InputError that gives its entry of names."""
-    return _gain_for_energies(speech.energy(), echo.energy(), ser_db, names)
-
-
-def _gain_for_energies(e_s: float, e_d: float, ser_db: float, names) -> float:
-    """`gain_for_ser` from the two energies, so that a caller scaling two
-    signals against one speech signal takes its energy once."""
+    """Gain g realizing 10*log10(e_s / (g^2 e_d)) = ser_db for a speech
+    energy e_s and an echo energy e_d; the same formula gives the noise gain
+    for a speech-to-noise ratio. A zero energy is an InputError that gives
+    its entry of names, the signal being silent."""
     if e_s <= 0.0:
         raise InputError(f"{names[0]} is silent")
     if e_d <= 0.0:
@@ -186,16 +181,6 @@ def open_source(path) -> WavFile:
     return _at_sample_rate(path, open_wav(path))
 
 
-def _excerpt(source: WavFile, offset: int, length: int) -> AudioBuffer:
-    """Decode samples [offset, offset + length) of an opened source;
-    ConfigError naming the path if they run past its end."""
-    if offset + length > len(source):
-        raise ConfigError(
-            f"{source.path}: excerpt [{offset}, {offset + length}) exceeds file "
-            f"length {len(source)}")
-    return source.read(offset, offset + length)
-
-
 def _resolve(base_dir, path):
     return path if os.path.isabs(path) else os.path.join(base_dir, path)
 
@@ -226,10 +211,10 @@ def mix_item(recipe: MixtureRecipe, irs: list, base_dir: str = ".") -> MixResult
     """Rebuild one corpus item deterministically from its recipe."""
     speech_dry = read_source(_resolve(base_dir, recipe.speech_path))
     length = len(speech_dry)
-    music = _excerpt(open_source(_resolve(base_dir, recipe.music_path)),
-                     recipe.music_offset, length)
-    noise = _excerpt(open_source(_resolve(base_dir, recipe.noise_path)),
-                     recipe.noise_offset, length)
+    music = open_source(_resolve(base_dir, recipe.music_path)).read(
+        recipe.music_offset, recipe.music_offset + length)
+    noise = open_source(_resolve(base_dir, recipe.noise_path)).read(
+        recipe.noise_offset, recipe.noise_offset + length)
     return _sum(recipe, speech_dry, _reverberate(speech_dry, irs[recipe.ir_index_speech]),
                 music, _reverberate(music, irs[recipe.ir_index_music]), noise)
 
@@ -282,8 +267,8 @@ def _draw_recipe(spec: CorpusSpec, index: int, irs: list, base_dir: str):
     music_offset = int(rng.integers(music_len - length + 1))
     noise_offset = int(rng.integers(noise_len - length + 1))
 
-    music = _excerpt(music_src, music_offset, length)
-    noise = _excerpt(noise_src, noise_offset, length)
+    music = music_src.read(music_offset, music_offset + length)
+    noise = noise_src.read(noise_offset, noise_offset + length)
     speech_reverb = _reverberate(speech_dry, irs[ir_index_speech])
     echo = _reverberate(music, irs[ir_index_music])
     # what a silent-signal error names
@@ -297,10 +282,8 @@ def _draw_recipe(spec: CorpusSpec, index: int, irs: list, base_dir: str):
         noise_type=noise_type, noise_path=noise_path, noise_offset=noise_offset,
         ir_index_speech=ir_index_speech, ir_index_music=ir_index_music,
         ser_db=ser_db, snr_db=snr_db,
-        sigma1=_gain_for_energies(speech_energy, echo.energy(), ser_db,
-                                  (speech_name, music_name)),
-        sigma2=_gain_for_energies(speech_energy, noise.energy(), snr_db,
-                                  (speech_name, noise_name)),
+        sigma1=gain_for_ser(speech_energy, echo.energy(), ser_db, (speech_name, music_name)),
+        sigma2=gain_for_ser(speech_energy, noise.energy(), snr_db, (speech_name, noise_name)),
         sigma3=spec.sigma3, seed=item_seed,
     )
     return recipe, _sum(recipe, speech_dry, speech_reverb, music, echo, noise)

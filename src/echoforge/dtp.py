@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, gene, require_finite
+from .errors import ConfigError, gene, require_finite, require_unit
 from .stft import HOP, N_BINS, SAMPLE_RATE, smooth_frames
 
 COHERENCE_EPS = 1e-10
@@ -46,14 +46,8 @@ class DtpParams:
 
     def __post_init__(self):
         require_finite(self)
-        for name in ("a01", "a10", "b01", "b10"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ConfigError(f"{name} must be in [0, 1], got {v}")
-        for name in ("alpha", "beta"):
-            v = getattr(self, name)
-            if not 0.0 <= v < 1.0:
-                raise ConfigError(f"{name} must be in [0, 1), got {v}")
+        require_unit(self, "a01", "a10", "b01", "b10", closed=True)
+        require_unit(self, "alpha", "beta")
         if not 0 <= self.k_begin < self.k_end <= N_BINS - 1:
             raise ConfigError(f"need 0 <= k_begin < k_end <= {N_BINS - 1}, "
                               f"got [{self.k_begin}, {self.k_end}]")

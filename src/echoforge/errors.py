@@ -1,6 +1,6 @@
 """Exception types shared across the package, the field helper that
-declares a stage parameter as a gene, and the check that every stage's
-parameter dataclass makes first."""
+declares a stage parameter as a gene, the check that every stage's
+parameter dataclass makes first, and its unit-interval check."""
 
 import math
 import numbers
@@ -42,3 +42,12 @@ def require_finite(params) -> None:
             raise ConfigError(f"{f.name} must be finite, got {value}")
         if f.type == "int" and not isinstance(value, numbers.Integral):
             raise ConfigError(f"{f.name} must be an integer, got {value}")
+
+
+def require_unit(params, *names, closed=False) -> None:
+    """ConfigError naming the first of the named fields of params that is
+    not in [0, 1), or not in [0, 1] when closed."""
+    for name in names:
+        value = getattr(params, name)
+        if not (0.0 <= value <= 1.0 if closed else 0.0 <= value < 1.0):
+            raise ConfigError(f"{name} must be in [0, 1{']' if closed else ')'}, got {value}")

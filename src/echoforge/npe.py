@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, gene, require_finite
+from .errors import ConfigError, gene, require_finite, require_unit
 from .stft import N_BINS
 
 NOISE_FLOOR = 1e-12
@@ -34,10 +34,7 @@ class NpeParams:
             raise ConfigError(f"xi_h1 must be > 0, got {self.xi_h1}")
         if not 0.0 < self.p_threshold < 1.0:
             raise ConfigError(f"p_threshold must be in (0, 1), got {self.p_threshold}")
-        for name in ("alpha_p", "alpha_npe"):
-            v = getattr(self, name)
-            if not 0.0 <= v < 1.0:
-                raise ConfigError(f"{name} must be in [0, 1), got {v}")
+        require_unit(self, "alpha_p", "alpha_npe")
 
 
 class NoisePowerEstimator:

@@ -2,17 +2,18 @@
 
 Per stream: the cascaded echo canceler runs on its own block size over
 the time-domain signals, both stages in one block loop when they share
-it (see `raec.cascade_run`). The frames of the shared frame clock are then
-walked in chunks of CHUNK_FRAMES: each chunk's spectra of the mic Y, the
-reference and the cleaned error E are analysed, Y - E being the echo
-estimate's, and passed through double-talk probability, the two residual
-echo power trackers, noise power estimation, the masking suppressor and
-the voice activity detector. Within a chunk, each stage computes what
-needs no earlier output as array operations and runs only its own
-recursion frame by frame, so the output does not depend on the chunk
-size. Everything is deterministic given inputs and parameters; the
-per-stream estimator state (held inside process_stream) is strictly
-sequential and never shared between streams.
+it and their iteration count (see `raec.cascade_run`). The frames of the
+shared frame clock are then walked in chunks of CHUNK_FRAMES: each
+chunk's spectra of the mic Y, the reference and the cleaned error E are
+analysed, Y - E being the echo estimate's, and passed through
+double-talk probability, the two residual echo power trackers, noise
+power estimation, the masking suppressor and the voice activity
+detector. Within a chunk, each stage computes what needs no earlier
+output as array operations and runs only its own recursion frame by
+frame, so the output does not depend on the chunk size. Everything is
+deterministic given inputs and parameters; the per-stream estimator
+state (held inside process_stream) is strictly sequential and never
+shared between streams.
 
 Memory: no whole-stream spectrogram of an input is built, and synthesis
 inverse-transforms a chunk of frames at a time. The inputs are copied

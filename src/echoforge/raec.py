@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ConfigError, InputError, gene, require_finite
+from .errors import ConfigError, InputError, gene, require_finite, require_unit
 from .stft import smooth_frames
 
 # NLMS normalization regularizer.
@@ -88,8 +88,7 @@ class RaecParams:
             raise ConfigError(f"mu must be in (0, 2), got {self.mu}")
         if self.gamma <= 0.0:
             raise ConfigError(f"gamma must be > 0, got {self.gamma}")
-        if not 0.0 <= self.alpha < 1.0:
-            raise ConfigError(f"alpha must be in [0, 1), got {self.alpha}")
+        require_unit(self, "alpha")
 
 
 def clip_error(e_block: np.ndarray, scale: float, params: RaecParams) -> np.ndarray:

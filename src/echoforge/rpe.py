@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ConfigError, gene, require_finite
+from .errors import ConfigError, gene, require_finite, require_unit
 from .stft import N_BINS, smooth_frames
 
 COUPLING_REG = 1e-8
@@ -34,10 +34,7 @@ class RpeParams:
         require_finite(self)
         if self.partitions_high < 1 or self.partitions_low < 1:
             raise ConfigError("partition counts must be >= 1")
-        for name in ("alpha_high", "alpha_low"):
-            v = getattr(self, name)
-            if not 0.0 <= v < 1.0:
-                raise ConfigError(f"{name} must be in [0, 1), got {v}")
+        require_unit(self, "alpha_high", "alpha_low")
 
 
 class _CouplingTracker:

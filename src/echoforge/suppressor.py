@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import exp1
 
-from .errors import ConfigError, gene, require_finite
+from .errors import ConfigError, gene, require_finite, require_unit
 from .stft import N_BINS
 
 POWER_FLOOR = 1e-12
@@ -46,10 +46,8 @@ class SuppressorParams:
 
     def __post_init__(self):
         require_finite(self)
-        if not 0.0 <= self.alpha_dd < 1.0:
-            raise ConfigError(f"alpha_dd must be in [0, 1), got {self.alpha_dd}")
-        if not 0.0 <= self.g_min <= 1.0:
-            raise ConfigError(f"g_min must be in [0, 1], got {self.g_min}")
+        require_unit(self, "alpha_dd")
+        require_unit(self, "g_min", closed=True)
         if not self.theta1 < self.theta2:
             raise ConfigError(
                 f"need theta1 < theta2, got theta1={self.theta1}, theta2={self.theta2}")

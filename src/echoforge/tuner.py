@@ -39,7 +39,7 @@ import numpy as np
 
 from .audio import write_wav
 from .corpus import read_source
-from .errors import ConfigError
+from .errors import ConfigError, require_unit
 from .metrics import segmental_snr_improvement
 from .params import SCHEMA, THETA_PAIR, Field, build_pipeline_params, validate_params
 from .pipeline import process_stream
@@ -65,10 +65,7 @@ class GaConfig:
                 f"need 1 <= elite < population, got {self.elite}/{self.population}")
         if self.generations < 1:
             raise ConfigError(f"generations must be >= 1, got {self.generations}")
-        for name in ("mutation_rate", "crossover_rate"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ConfigError(f"{name} must be in [0, 1], got {v}")
+        require_unit(self, "mutation_rate", "crossover_rate", closed=True)
         if not 0.0 <= self.mutation_scale < math.inf:
             raise ConfigError(
                 f"mutation_scale must be finite and >= 0, got {self.mutation_scale}")
@@ -347,11 +344,16 @@ def external_objective(command_template: str, exchange_dir, timeout: float, item
     """Attachment point for an external scorer (e.g. a speech recognizer).
 
     Per candidate: enhanced WAVs plus a candidate manifest go to a fresh
-    work directory under `exchange_dir`; the command (with `{dir}`
-    substituted) must print one decimal score on stdout.
+    work directory under `exchange_dir`; the command, split into words once
+    here and with each `{dir}` replaced by that directory, must print one
+    decimal score on stdout. An unsplittable template is a ConfigError.
     """
     if not 0 < timeout < math.inf:
         raise ConfigError(f"timeout must be positive and finite, got {timeout}")
+    try:
+        words = shlex.split(command_template)
+    except ValueError as exc:  # an unclosed quote or a trailing escape
+        raise ConfigError(f"objective command {command_template!r}: {exc}") from None
     os.makedirs(exchange_dir, exist_ok=True)
     pool = _item_pool(items)
 
@@ -363,7 +365,7 @@ def external_objective(command_template: str, exchange_dir, timeout: float, item
                     "segments": segs} for i, segs in enumerate(segments)]
         with open(os.path.join(workdir, "candidate.json"), "w", encoding="utf-8") as fh:
             json.dump({"params": params, "items": entries}, fh, indent=2)
-        cmd = [part.format(dir=workdir) for part in shlex.split(command_template)]
+        cmd = [word.replace("{dir}", workdir) for word in words]
         proc = subprocess.run(cmd, capture_output=True, text=True, timeout=timeout)
         if proc.returncode != 0:
             raise RuntimeError(

@@ -518,6 +518,16 @@ class TestTuneCommand:
         assert "timeout" in capsys.readouterr().err
         assert not best.exists()
 
+    def test_unsplittable_objective_cmd_exit_3_naming_it(self, tmp_path, capsys):
+        corpus_dir = _smoke_corpus(tmp_path)
+        best = tmp_path / "best.cfg"
+        template = "scorer '{dir}"  # unclosed quote
+        code = main(["tune", str(corpus_dir / "manifest.json"), "--out", str(best),
+                     "--objective-cmd", template])
+        assert code == 3
+        assert repr(template) in capsys.readouterr().err
+        assert not best.exists()
+
     def test_theta_bounds_without_an_ordered_pair_exit_3(self, tmp_path, capsys):
         ga_cfg = tmp_path / "ga.cfg"
         ga_cfg.write_text("bounds.ns.theta1_db.min = 5\nbounds.ns.theta2_db.max = 0\n")

@@ -168,6 +168,18 @@ class TestExternalObjective:
             timeout=120.0, items=items)
         assert objective(default_params()) == 0.75
 
+    def test_other_braces_reach_the_command_unchanged(self, small_corpus, tmp_path):
+        # only {dir} is replaced, here inside a word; the dict literal's
+        # braces are the scorer's own
+        manifest = read_manifest(small_corpus / "manifest.json")
+        items = load_corpus_items(manifest, str(small_corpus))[:1]
+        code = ("import os, sys; "
+                "print({True: 0.5, False: -1.0}[os.path.isfile(sys.argv[1])])")
+        objective = external_objective(
+            f'{sys.executable} -c "{code}" {{dir}}/candidate.json', tmp_path / "exchange",
+            timeout=60.0, items=items)
+        assert objective(default_params()) == 0.5
+
     def test_failure_and_timeout_become_minus_inf(self, small_corpus, tmp_path):
         manifest = read_manifest(small_corpus / "manifest.json")
         items = load_corpus_items(manifest, str(small_corpus))[:1]
