@@ -242,7 +242,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 3
-    except (FileNotFoundError, OSError, InputError, EchoforgeError) as exc:
+    except (OSError, EchoforgeError) as exc:
         print(f"input/output error: {exc}", file=sys.stderr)
         return 2
 

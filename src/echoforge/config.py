@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import ConfigError
+from .errors import ConfigError, InputError
 
 
 def parse_config_text(text: str) -> dict:
@@ -33,8 +33,11 @@ def parse_config_text(text: str) -> dict:
 
 
 def read_config(path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config_text(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return parse_config_text(fh.read())
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text (byte {exc.start})") from None
 
 
 def format_config(values: dict, header: str | None = None) -> str:

@@ -260,10 +260,9 @@ def _draw_recipe(spec: CorpusSpec, index: int, irs: list, base_dir: str):
     music_src = open_source(_resolve(base_dir, music_path))
     noise_src = open_source(_resolve(base_dir, noise_path))
     length, music_len, noise_len = len(speech_dry), len(music_src), len(noise_src)
-    if music_len < length:
-        raise ConfigError(f"{music_path}: shorter than speech item ({music_len} < {length})")
-    if noise_len < length:
-        raise ConfigError(f"{noise_path}: shorter than speech item ({noise_len} < {length})")
+    for src, src_len in ((music_src, music_len), (noise_src, noise_len)):
+        if src_len < length:
+            raise InputError(f"{src.path}: shorter than speech item ({src_len} < {length})")
     music_offset = int(rng.integers(music_len - length + 1))
     noise_offset = int(rng.integers(noise_len - length + 1))
 

@@ -25,10 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, gene, require_finite, require_unit
-from .stft import HOP, N_BINS, SAMPLE_RATE, smooth_frames
+from .stft import HOP, N_BINS, POWER_FLOOR, SAMPLE_RATE, smooth_frames
 
 COHERENCE_EPS = 1e-10
-SILENCE_POWER = 1e-12
 
 
 @dataclass(frozen=True)
@@ -100,8 +99,8 @@ class DtpEstimator:
         yy = smooth_frames((1 - a) * np.abs(y) ** 2, self.psd_yy, a)
         dy = smooth_frames((1 - a) * d * np.conj(y), self.psd_dy, a)
         self.psd_dd, self.psd_yy, self.psd_dy = dd[-1], yy[-1], dy[-1]
-        silent = ((np.mean(dd, axis=1) < SILENCE_POWER)
-                  & (np.mean(yy, axis=1) < SILENCE_POWER)).tolist()
+        silent = ((np.mean(dd, axis=1) < POWER_FLOOR)
+                  & (np.mean(yy, axis=1) < POWER_FLOOR)).tolist()
         coherence = np.abs(dy) ** 2 / (dd * yy + COHERENCE_EPS)
         means = np.mean(coherence, axis=1).tolist()
         return [None if quiet else c for c, quiet in zip(means, silent)]

@@ -15,9 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, gene, require_finite, require_unit
-from .stft import N_BINS
+from .stft import N_BINS, POWER_FLOOR
 
-NOISE_FLOOR = 1e-12
 COLD_START_FRAMES = 10
 
 
@@ -47,7 +46,7 @@ class NoisePowerEstimator:
     def __init__(self, params: NpeParams):
         self.params = params
         self.smoothed_p = np.zeros(N_BINS)
-        self.noise_power = np.full(N_BINS, NOISE_FLOOR)
+        self.noise_power = np.full(N_BINS, POWER_FLOOR)
         self._warmup_acc = np.zeros(N_BINS)
         self._warmup_count = 0
 
@@ -66,7 +65,7 @@ class NoisePowerEstimator:
                 self._warmup_acc += power
                 self._warmup_count += 1
                 self.noise_power = np.maximum(
-                    self._warmup_acc / self._warmup_count, NOISE_FLOOR, out=out[t])
+                    self._warmup_acc / self._warmup_count, POWER_FLOOR, out=out[t])
                 continue
 
             # posterior speech presence under the fixed-SNR hypothesis
@@ -80,5 +79,5 @@ class NoisePowerEstimator:
             estimate = prob * self.noise_power + (1.0 - prob) * power
             self.noise_power = np.maximum(
                 p.alpha_npe * self.noise_power + (1 - p.alpha_npe) * estimate,
-                NOISE_FLOOR, out=out[t])
+                POWER_FLOOR, out=out[t])
         return out

@@ -122,7 +122,7 @@ class Stage:
         # this block's far-end rows, set by Raec.process
         self.x_spectra = self.x_conj = self.x_conj_scaled = self.inv_norm = None
         self.x_power = np.zeros((m, n_bins))     # smoothed per-partition PSD
-        self._psd_bias = 0.0                     # smoothing warm-up correction
+        self._psd_bias = np.zeros(1)             # smoothing warm-up correction
         self.scale = 1.0
         # coherence trackers for the adaptive step
         self.err_cross = np.zeros((m, n_bins), dtype=complex)
@@ -156,25 +156,19 @@ class Stage:
         """This stage's smoothed power and reciprocal NLMS normalization for
         a chunk whose far-end spectra have squared magnitudes sq, newest
         first. power has k + M - 1 rows (the chunk's, then the M - 1 newest
-        of the chunk before), inv_norm one per block."""
-        p = self.params
-        m, a = p.partitions, p.alpha
+        of the chunk before), inv_norm one per block. `smooth_frames` runs
+        power_t = a * power_{t-1} + (1 - a) * |X_t|^2, oldest block first,
+        and its warm-up correction, the same recursion on a unit input. The
+        NLMS normalization sums the power over partitions, newest first, as
+        the per-partition power alone overshoots by a factor of M."""
+        m, a = self.params.partitions, self.params.alpha
         k = len(sq)
         power = np.concatenate(((1.0 - a) * sq, self.x_power[:m - 1]))
-        # power_t = a * power_{t-1} + (1 - a) * |X_t|^2, oldest block first,
-        # carried on from the newest row so far
         smooth_frames(power[k - 1::-1], self.x_power[0], a)
-        bias = np.empty(k)
-        for i in range(k - 1, -1, -1):
-            self._psd_bias = a * self._psd_bias + (1.0 - a)
-            bias[i] = self._psd_bias
-        # NLMS normalization: far-end power summed over partitions
-        # (per-partition normalization alone overshoots by a factor of M),
-        # added newest row first as power.sum(axis=0) adds them.
-        norm = power[:k].copy()
-        for i in range(1, m):
-            norm += power[i:i + k]
-        norm /= bias[:, None]
+        bias = smooth_frames(np.full((k, 1), 1.0 - a), self._psd_bias, a)
+        self._psd_bias = bias[-1]
+        norm = np.add.reduce(sliding_window_view(power, m, axis=0), axis=-1)
+        norm /= bias[::-1]
         norm += DELTA
         return power, np.divide(1.0, norm, out=norm)
 
@@ -464,8 +458,6 @@ def run_blocks(canceler: Raec, x: np.ndarray, y: np.ndarray):
     Only a signal whose length is not that multiple is copied. Returns the
     last stage's e trimmed back to the longer input length.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
     length = max(len(x), len(y))
     n = canceler.frame_size
     padded = -(-length // n) * n

@@ -29,6 +29,8 @@ WINDOW = np.sin(np.pi * (np.arange(FRAME_LEN) + 0.5) / FRAME_LEN)
 # Frames per inverse transform in synthesize: 128 KiB of transforms at a
 # time, whatever the stream length.
 SYNTHESIS_CHUNK = 32
+# Bin power below which the chain treats a bin as digital silence.
+POWER_FLOOR = 1e-12
 
 
 def analyze(buffer: AudioBuffer, first: int = 0, count: int | None = None) -> np.ndarray:

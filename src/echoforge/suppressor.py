@@ -29,9 +29,8 @@ import numpy as np
 from scipy.special import exp1
 
 from .errors import ConfigError, gene, require_finite, require_unit
-from .stft import N_BINS
+from .stft import N_BINS, POWER_FLOOR
 
-POWER_FLOOR = 1e-12
 V_FLOOR = 1e-10
 
 

@@ -39,7 +39,7 @@ import numpy as np
 
 from .audio import write_wav
 from .corpus import read_source
-from .errors import ConfigError, require_unit
+from .errors import ConfigError, InputError, require_unit
 from .metrics import segmental_snr_improvement
 from .params import SCHEMA, THETA_PAIR, Field, build_pipeline_params, validate_params
 from .pipeline import process_stream
@@ -277,12 +277,18 @@ def load_corpus_items(manifest: dict, base_dir: str) -> list:
     """Load every item's (mix, clean target, far-end reference) triple into
     memory; no item is skipped.
 
-    A missing file raises FileNotFoundError, an unreadable one or one that
-    is not at SAMPLE_RATE InputError, each naming the path.
+    Errors name the file: FileNotFoundError a missing one, InputError one
+    unreadable, not at SAMPLE_RATE, or a target of another length than its mix.
     """
-    return [tuple(read_source(os.path.join(base_dir, entry["files"][key]))
-                  for key in ("mix", "speech", "reference"))
-            for entry in manifest["items"]]
+    items = []
+    for entry in manifest["items"]:
+        paths = [os.path.join(base_dir, entry["files"][key])
+                 for key in ("mix", "speech", "reference")]
+        mix, speech, ref = map(read_source, paths)
+        if len(speech) != len(mix):
+            raise InputError(f"{paths[1]}: {len(speech)} samples; mix {paths[0]}: {len(mix)}")
+        items.append((mix, speech, ref))
+    return items
 
 
 # The corpus items of this worker process, set once by the pool initializer.

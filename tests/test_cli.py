@@ -481,6 +481,21 @@ class TestTuneCommand:
         assert str(bad) in capsys.readouterr().err
         assert not best.exists()
 
+    def test_target_length_differing_from_its_mix_exit_2_naming_both(self, tmp_path, capsys):
+        # rejected when the items load, before any candidate runs
+        corpus_dir = _smoke_corpus(tmp_path)
+        target = corpus_dir / "item0001.speech.wav"
+        write_wav(target, AudioBuffer(speech_like(0.75, seed=86)))
+        ga_cfg = tmp_path / "ga.cfg"
+        ga_cfg.write_text("ga.population = 2\nga.elite = 1\nga.generations = 1\n")
+        best = tmp_path / "best.cfg"
+        code = main(["tune", str(corpus_dir / "manifest.json"), "--ga-config", str(ga_cfg),
+                     "--out", str(best)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(target) in err and str(corpus_dir / "item0001.mix.wav") in err
+        assert not best.exists()
+
     def test_bad_bounds_key_exit_3(self, tmp_path, capsys):
         ga_cfg = tmp_path / "ga.cfg"
         ga_cfg.write_text("bounds.raec1.mu = 0.3\n")
@@ -538,6 +553,19 @@ class TestTuneCommand:
         assert code == 3
         err = capsys.readouterr().err
         assert "bounds.ns.theta1_db.min" in err and "bounds.ns.theta2_db.max" in err
+
+
+@pytest.mark.parametrize("command", ["enhance", "corpus", "tune"])
+def test_config_not_utf8_exit_2_naming_path(tmp_path, wav_pair, capsys, command):
+    cfg = tmp_path / "latin1.cfg"
+    cfg.write_bytes(b"raec1.mu = 0.5 # caf\xe9\n")
+    mic, ref = wav_pair
+    argv = {"enhance": ["enhance", mic, ref, str(tmp_path / "o.wav"), "--config", str(cfg)],
+            "corpus": ["corpus", str(cfg), "1", "--out", str(tmp_path / "c")],
+            "tune": ["tune", str(tmp_path / "m.json"), "--ga-config", str(cfg),
+                     "--out", str(tmp_path / "b.cfg")]}[command]
+    assert main(argv) == 2
+    assert str(cfg) in capsys.readouterr().err
 
 
 class TestRemovedOptions:

@@ -257,7 +257,7 @@ class TestGeneration:
             music_files=(str(short),),
             noise_files={"babble": (str(short),)},
             master_seed=1)
-        with pytest.raises(ConfigError, match="shorter than speech"):
+        with pytest.raises(InputError, match="shorter than speech"):
             generate_corpus(spec, 1, tmp_path / "bad")
 
     def test_ir_at_another_rate_rejected(self, corpus_sources, tmp_path):

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from echoforge.dtp import COHERENCE_EPS, SILENCE_POWER, DtpEstimator, DtpParams
+from echoforge.dtp import COHERENCE_EPS, DtpEstimator, DtpParams
 from echoforge.errors import ConfigError
-from echoforge.stft import N_BINS
+from echoforge.stft import N_BINS, POWER_FLOOR
 
 
 def _band_params(**kw):
@@ -46,8 +46,8 @@ class PlainDtp:
         self.psd_dy = a * self.psd_dy + (1 - a) * d * np.conj(y)
 
         band = slice(p.k_begin, p.k_end + 1)
-        if (np.mean(self.psd_dd[band]) < SILENCE_POWER
-                and np.mean(self.psd_yy[band]) < SILENCE_POWER):
+        if (np.mean(self.psd_dd[band]) < POWER_FLOOR
+                and np.mean(self.psd_yy[band]) < POWER_FLOOR):
             return self.p_dt
 
         coherence = np.abs(self.psd_dy) ** 2 / (
@@ -165,7 +165,7 @@ FRAME_KINDS = ("echo", "double_talk", "independent", "silent", "tiny")
 
 
 def _frame_pair(rng, kind):
-    """One (d, y) frame pair; "tiny" frames fall under SILENCE_POWER."""
+    """One (d, y) frame pair; "tiny" frames fall under POWER_FLOOR."""
     d = _complex_noise(rng)
     if kind == "echo":
         return d, d

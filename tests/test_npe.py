@@ -3,8 +3,8 @@ import pytest
 
 from echoforge.audio import AudioBuffer
 from echoforge.errors import ConfigError
-from echoforge.npe import COLD_START_FRAMES, NOISE_FLOOR, NoisePowerEstimator, NpeParams
-from echoforge.stft import N_BINS, analyze
+from echoforge.npe import COLD_START_FRAMES, NoisePowerEstimator, NpeParams
+from echoforge.stft import N_BINS, POWER_FLOOR, analyze
 from conftest import speech_like
 
 FS = 16000
@@ -37,7 +37,7 @@ class TestRecursion:
         assert np.allclose(out, 1.0)
         for _ in range(500):
             out = _step(est, np.zeros(N_BINS, complex))
-        assert np.all(out == NOISE_FLOOR)
+        assert np.all(out == POWER_FLOOR)
 
     def test_cold_start_averages_first_frames(self):
         est = NoisePowerEstimator(NpeParams())
@@ -99,4 +99,4 @@ class TestTracking:
                      ).astype(complex)
             out = _step(est, frame)
             assert np.all(np.isfinite(out))
-            assert np.all(out >= NOISE_FLOOR)
+            assert np.all(out >= POWER_FLOOR)

@@ -7,9 +7,8 @@ from scipy.integrate import quad
 from scipy.special import exp1
 
 from echoforge.errors import ConfigError
-from echoforge.stft import N_BINS
-from echoforge.suppressor import (POWER_FLOOR, Suppressor, SuppressorParams, lsa_gain,
-                                  mask_gain)
+from echoforge.stft import N_BINS, POWER_FLOOR
+from echoforge.suppressor import Suppressor, SuppressorParams, lsa_gain, mask_gain
 
 
 def quadrature_e1(v: float) -> float:
