@@ -33,8 +33,10 @@ def parse_config_text(text: str) -> dict:
 
 
 def read_config(path) -> dict:
+    """Parse a UTF-8 config file; a leading byte-order mark, as some
+    editors write one, is not part of the first key."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             return parse_config_text(fh.read())
     except UnicodeDecodeError as exc:
         raise InputError(f"{path}: not UTF-8 text (byte {exc.start})") from None

@@ -19,10 +19,12 @@ are written, so either can serve as the training target.
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import json
 import math
 import os
+import threading
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -288,6 +290,33 @@ def _draw_recipe(spec: CorpusSpec, index: int, irs: list, base_dir: str):
     return recipe, _sum(recipe, speech_dry, speech_reverb, music, echo, noise)
 
 
+def usable_cores() -> int:
+    """The cores this process may run on: its CPU affinity set where the
+    platform has one (Linux), else every core of the machine."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _write_item(spec: CorpusSpec, index: int, irs: list, base_dir: str, out_dir,
+                written: list) -> tuple:
+    """Draw, mix and write item `index`; returns (recipe, manifest entry).
+    Each path goes on `written` before its file is opened."""
+    recipe, result = _draw_recipe(spec, index, irs, base_dir)
+    paths = {
+        "mix": f"{recipe.item_id}.mix.wav",
+        "speech": f"{recipe.item_id}.speech.wav",
+        "speech_dry": f"{recipe.item_id}.speech_dry.wav",
+        "reference": f"{recipe.item_id}.ref.wav",
+    }
+    for key, buf in (("mix", result.mix), ("speech", result.speech_reverb),
+                     ("speech_dry", result.speech_dry), ("reference", result.reference)):
+        path = os.path.join(out_dir, paths[key])
+        written.append(path)
+        write_wav(path, buf)
+    return recipe, {**asdict(recipe), "files": paths}
+
+
 def generate_corpus(spec: CorpusSpec, n_items: int, out_dir,
                     base_dir: str = ".") -> list:
     """Draw, mix and write n_items; returns the recipes.
@@ -295,40 +324,66 @@ def generate_corpus(spec: CorpusSpec, n_items: int, out_dir,
     Writes <id>.mix.wav, <id>.speech.wav (reverberant target),
     <id>.speech_dry.wav, <id>.ref.wav (far-end reference) and a
     manifest.json listing every recipe, all float32 mono WAV. Every
-    source file and impulse response must be at SAMPLE_RATE. The responses
-    are loaded before anything is written; if an item then fails, the files
-    this call wrote are removed, and out_dir too if this call created it.
+    source file and impulse response must be at SAMPLE_RATE.
+
+    Items are built concurrently, one worker per usable core and at most
+    one per item: the calling thread and up to usable_cores() - 1 helper
+    threads take item indices in ascending order. Each item depends only on
+    its spawn key and the manifest lists the items by index, so every file
+    is byte-identical for any core count.
+
+    The responses are loaded before anything is written. If an item then
+    fails, no further item starts; once the items in flight have finished,
+    the files this call wrote are removed, out_dir too if this call
+    created it, and the error of the lowest failed item index is raised,
+    the one a one-at-a-time run would raise. No helper thread outlives the
+    call.
     """
     if n_items < 0:
         raise ConfigError(f"item count must be >= 0, got {n_items}")
     irs = load_irs(spec.ir_files, base_dir) if spec.ir_files else make_default_irs()
     created = not os.path.isdir(out_dir)
     os.makedirs(out_dir, exist_ok=True)
-    written = []
+    written = []                  # every path a worker has opened for writing
+    built = [None] * n_items      # (recipe, manifest entry) by item index
+    failures = {}                 # item index -> its exception
+    pending = collections.deque(range(n_items))  # indices not yet started
+
+    def work():
+        # Take the lowest index not yet started until none is left; a
+        # failure cancels every item not yet started.
+        while True:
+            try:
+                index = pending.popleft()
+            except IndexError:
+                return
+            try:
+                built[index] = _write_item(spec, index, irs, base_dir, out_dir, written)
+            except Exception as exc:
+                failures[index] = exc
+                pending.clear()
+                return
+
+    helpers = []
     try:
-        recipes = []
-        entries = []
-        for i in range(n_items):
-            recipe, result = _draw_recipe(spec, i, irs, base_dir)
-            paths = {
-                "mix": f"{recipe.item_id}.mix.wav",
-                "speech": f"{recipe.item_id}.speech.wav",
-                "speech_dry": f"{recipe.item_id}.speech_dry.wav",
-                "reference": f"{recipe.item_id}.ref.wav",
-            }
-            for key, buf in (("mix", result.mix), ("speech", result.speech_reverb),
-                             ("speech_dry", result.speech_dry),
-                             ("reference", result.reference)):
-                written.append(os.path.join(out_dir, paths[key]))
-                write_wav(written[-1], buf)
-            recipes.append(recipe)
-            entries.append({**asdict(recipe), "files": paths})
+        try:
+            for k in range(min(usable_cores(), n_items) - 1):
+                thread = threading.Thread(target=work, name=f"corpus-item-worker-{k}")
+                thread.start()
+                helpers.append(thread)
+            work()
+        finally:
+            pending.clear()  # an interrupt of this thread stops the helpers too
+            for thread in helpers:
+                thread.join()
+        if failures:
+            raise failures[min(failures)]
         manifest = {
             "sample_rate": SAMPLE_RATE,
             "master_seed": spec.master_seed,
             "sigma3": spec.sigma3,
             "ir_files": list(spec.ir_files),
-            "items": entries,
+            "items": [entry for _, entry in built],
         }
         written.append(os.path.join(out_dir, "manifest.json"))
         with open(written[-1], "w", encoding="utf-8") as fh:
@@ -341,7 +396,7 @@ def generate_corpus(spec: CorpusSpec, n_items: int, out_dir,
             with contextlib.suppress(OSError):
                 os.rmdir(out_dir)
         raise
-    return recipes
+    return [recipe for recipe, _ in built]
 
 
 def load_irs(ir_files, base_dir: str = ".") -> list:

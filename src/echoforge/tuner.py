@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .audio import write_wav
-from .corpus import read_source
+from .corpus import read_source, usable_cores
 from .errors import ConfigError, InputError, require_unit
 from .metrics import segmental_snr_improvement
 from .params import SCHEMA, THETA_PAIR, Field, build_pipeline_params, validate_params
@@ -320,7 +320,7 @@ def _item_pool(items) -> ProcessPoolExecutor:
     if not items:
         raise ConfigError("no corpus items")
     pool = ProcessPoolExecutor(
-        max_workers=min(len(os.sched_getaffinity(0)), len(items)),
+        max_workers=min(usable_cores(), len(items)),
         mp_context=multiprocessing.get_context("fork"),
         initializer=_hold_items, initargs=(items,))
     # The first submit forks every worker of a fork-context pool.

@@ -2,6 +2,7 @@ import argparse
 import json
 import os
 import re
+import threading
 
 import numpy as np
 import pytest
@@ -212,11 +213,15 @@ class TestCorpusCommand:
         # the responses are loaded before the output directory is made
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("seed", [3, 0], ids=["earlier-item-written",
+                                                  "later-item-written-first"])
     @pytest.mark.parametrize("existing", [False, True], ids=["new-dir", "existing-dir"])
     def test_failed_item_removes_only_what_it_wrote(self, tmp_path, capsys,
-                                                     monkeypatch, existing):
+                                                     monkeypatch, existing, seed):
         # At seed 3, item 0 draws the 16 kHz speech file and item 1 the
         # 48 kHz one, so item 0's files are written before item 1 fails.
+        # At seed 0 the draws are swapped: on two workers, item 0 is held
+        # until the other worker has written item 1, and then fails.
         paths = _write_sources(tmp_path)
         write_wav(tmp_path / "sp48k.wav", AudioBuffer(np.zeros(48000), 48000))
         cfg = tmp_path / "corpus.cfg"
@@ -224,19 +229,32 @@ class TestCorpusCommand:
             f"corpus.speech = {paths['sp']}, sp48k.wav\n"
             f"corpus.music = {paths['mu']}\n"
             f"corpus.noise.babble = {paths['no']}\n"
-            "corpus.seed = 3\n")
+            f"corpus.seed = {seed}\n")
         out = tmp_path / "x"
         if existing:
             out.mkdir()
             (out / "notes.txt").write_text("kept")
         written = []
         write = corpusmod.write_wav
+        other_written = threading.Event()
 
         def spy(path, buffer):
             written.append(path)
-            return write(path, buffer)
+            write(path, buffer)
+            if len(written) == 4:
+                other_written.set()
 
         monkeypatch.setattr(corpusmod, "write_wav", spy)
+        if seed == 0:
+            draw = corpusmod._draw_recipe
+
+            def held(spec, index, *args):
+                if index == 0:
+                    assert other_written.wait(timeout=30)
+                return draw(spec, index, *args)
+
+            monkeypatch.setattr(corpusmod, "usable_cores", lambda: 2)
+            monkeypatch.setattr(corpusmod, "_draw_recipe", held)
         assert main(["corpus", str(cfg), "2", "--out", str(out)]) == 2
         assert "sp48k.wav" in capsys.readouterr().err
         assert len(written) == 4
@@ -566,6 +584,27 @@ def test_config_not_utf8_exit_2_naming_path(tmp_path, wav_pair, capsys, command)
                      "--out", str(tmp_path / "b.cfg")]}[command]
     assert main(argv) == 2
     assert str(cfg) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["enhance", "corpus", "tune"])
+def test_config_with_byte_order_mark_accepted(tmp_path, wav_pair, command):
+    # some editors start a UTF-8 file with the byte-order mark EF BB BF
+    cfg = tmp_path / "bom.cfg"
+    mic, ref = wav_pair
+    if command == "enhance":
+        text = "raec1.mu = 0.5\n"
+        argv = ["enhance", mic, ref, str(tmp_path / "o.wav"), "--config", str(cfg)]
+    elif command == "corpus":
+        paths = _write_sources(tmp_path)
+        text = (f"corpus.speech = {paths['sp']}\ncorpus.music = {paths['mu']}\n"
+                f"corpus.noise.babble = {paths['no']}\n")
+        argv = ["corpus", str(cfg), "1", "--out", str(tmp_path / "c")]
+    else:
+        text = "ga.population = 2\nga.elite = 1\nga.generations = 1\n"
+        argv = ["tune", str(_smoke_corpus(tmp_path) / "manifest.json"),
+                "--ga-config", str(cfg), "--out", str(tmp_path / "b.cfg")]
+    cfg.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    assert main(argv) == 0
 
 
 class TestRemovedOptions:

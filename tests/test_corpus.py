@@ -1,5 +1,6 @@
 import os
 import re
+import threading
 from dataclasses import asdict
 
 import numpy as np
@@ -183,13 +184,52 @@ class TestGeneration:
             rebuilt = mix_item(recipe, irs).mix.samples.astype(np.float32)
             assert np.array_equal(on_disk, rebuilt), recipe.item_id
 
+    def test_same_bytes_for_any_core_count(self, corpus_sources, tmp_path, monkeypatch):
+        spec = make_corpus_spec(corpus_sources)
+        contents = {}
+        for cores in (1, 2, 4):
+            monkeypatch.setattr(corpus, "usable_cores", lambda: cores)
+            out = tmp_path / f"cores{cores}"
+            generate_corpus(spec, 7, out)
+            contents[cores] = {name: (out / name).read_bytes() for name in os.listdir(out)}
+        assert len(contents[1]) == 4 * 7 + 1
+        assert contents[2] == contents[1]
+        assert contents[4] == contents[1]
+
+    @pytest.mark.parametrize("fails", [False, True], ids=["returns", "raises"])
+    def test_no_thread_outlives_the_call(self, corpus_sources, tmp_path, monkeypatch, fails):
+        draw = corpus._draw_recipe
+        alive = []
+
+        def watched(spec, index, *args):
+            alive.append(len(threading.enumerate()))
+            if fails and index == 1:
+                raise InputError("item 1 fails")
+            return draw(spec, index, *args)
+
+        monkeypatch.setattr(corpus, "usable_cores", lambda: 4)
+        monkeypatch.setattr(corpus, "_draw_recipe", watched)
+        before = threading.enumerate()
+        for n_items in (7, 2):
+            alive.clear()
+            if fails:
+                with pytest.raises(InputError, match="item 1 fails"):
+                    generate_corpus(make_corpus_spec(corpus_sources), n_items, tmp_path / "c")
+            else:
+                generate_corpus(make_corpus_spec(corpus_sources), n_items, tmp_path / "c")
+            assert threading.enumerate() == before
+            # the calling thread and one helper per further core, at most one per item
+            assert max(alive) <= len(before) + min(4, n_items) - 1
+
     def test_each_item_read_and_convolved_once(self, corpus_sources, tmp_path,
                                                monkeypatch, decoded):
         calls = {"read": 0, "open": 0, "convolve": 0}
+        lock = threading.Lock()  # items run on several threads
 
         def counted(key, fn):
             def wrapper(*args, **kwargs):
-                calls[key] += 1
+                with lock:
+                    calls[key] += 1
                 return fn(*args, **kwargs)
             return wrapper
 

@@ -128,6 +128,15 @@ class TestItemPool:
             _, workers = _workers_started_by(lambda: signal_fidelity_objective(items[:n]))
             assert len(workers) == min(cores, n)
 
+    def test_runs_where_the_platform_has_no_affinity_call(self, small_corpus, corpus_sources,
+                                                          tmp_path, monkeypatch):
+        # macOS and Windows have no os.sched_getaffinity; the core count
+        # falls back to os.cpu_count() there
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert len(generate_corpus(make_corpus_spec(corpus_sources), 2, tmp_path / "c")) == 2
+        objective = signal_fidelity_objective(_load_items(small_corpus))
+        assert np.isfinite(objective(default_params()))
+
     def test_workers_exit_with_their_objective(self, small_corpus):
         objective, workers = _workers_started_by(
             lambda: signal_fidelity_objective(_load_items(small_corpus)))
