@@ -59,8 +59,11 @@ STAGES = {
 }
 
 # Gene defaults that are not their stage field's: the second canceller
-# stage runs a shorter filter than the first.
-_OWN_DEFAULTS = {"raec2.partitions": 4}
+# stage is the short, fast half of a long-slow/short-fast pair (raec.py):
+# one partition at twice stage 1's step. It retracks a changed echo path
+# sooner than four partitions at stage 1's step, and the stacked filter
+# holds 9 weight rows instead of 12.
+_OWN_DEFAULTS = {"raec2.partitions": 1, "raec2.mu": 1.0}
 
 
 def _genes(prefix: str, cls) -> list[Field]:

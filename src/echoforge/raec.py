@@ -13,6 +13,18 @@ signal path:
   (near-end speech, or the filter has hit its floor), so sustained
   double talk cannot random-walk converged weights.
 
+An error that grows while it stays coherent with the far end is echo the
+filter no longer models, as after a change of the echo path: the robust
+scale then follows it at the smoothing rate instead of its slow rise, so
+neither control holds the stage off while it retracks.
+
+The default cascade pairs a long, slow stage with a short, fast one, after
+the combinations of a slow and a fast adaptive filter of Arenas-García,
+Figueiras-Vidal & Sayed (IEEE TSP 2006). Stage 1 (8 partitions, step 0.5)
+models the whole echo path; stage 2 (1 partition, step 1.0) cancels what
+stage 1 leaves in the first block of lags, and after a path change it
+recovers that part of the echo sooner than stage 1 alone.
+
 A `Raec` is a stack of such stages on one block size and iteration
 count, run in one block loop. Each stage filters the same far-end
 reference and cancels what the stage before it left behind in the same
@@ -48,6 +60,11 @@ DELTA = 1e-3
 SCALE_FLOOR = 1e-6
 # Upward smoothing of the robust scale (slow on purpose); downward uses alpha.
 SCALE_RISE = 0.9995
+# Coherence factor from which a rising error is read as a changed echo path
+# rather than near-end interference: the robust scale then rises at alpha
+# toward the uncapped median, so the limiter and the burst factor let the
+# stage retrack instead of holding its step near zero.
+PATH_CHANGE_COHERENCE = 0.5
 # Blocks with a median |e| below this are silence: nothing to learn from.
 SILENCE_LEVEL = 1e-5
 # |e| median -> sigma for a Gaussian.
@@ -128,6 +145,7 @@ class Stage:
         self.err_cross = np.zeros((m, n_bins), dtype=complex)
         self.err_power = np.zeros(n_bins)
         self._coh_blocks = 0
+        self.coherence = 0.0      # the last non-silent block's coherence factor
         self.step_factor = 1.0
         # Work buffers, reused every block. Views of the stack's: _work,
         # this stage's rows of the filter products, coherence cross terms
@@ -174,7 +192,12 @@ class Stage:
 
     def _update_scale(self):
         """Move the robust scale by this block's raw error; return the
-        burst factor of the step control, or None for a silent block."""
+        burst factor of the step control, or None for a silent block.
+
+        The scale falls at alpha and rises slowly toward the median capped
+        at the clip limit, unless the coherence factor of the block before
+        says the error is still far-end echo (PATH_CHANGE_COHERENCE): then
+        it rises at alpha toward the raw median."""
         p = self.params
         # One partition yields the median of |e| and, since capping at the
         # clip limit keeps the order, the capped median too.
@@ -190,8 +213,13 @@ class Stage:
         # multiplicatively, and the slow rise keeps both the limiter and the
         # step control armed through sustained double talk.
         capped = (min(lo, limit) + min(hi, limit)) / 2 / MEDIAN_TO_SIGMA
-        a = p.alpha if capped < self.scale else SCALE_RISE
-        self.scale = max(a * self.scale + (1.0 - a) * capped, SCALE_FLOOR)
+        if capped < self.scale:
+            a, target = p.alpha, capped
+        elif self.coherence >= PATH_CHANGE_COHERENCE:
+            a, target = p.alpha, raw
+        else:
+            a, target = SCALE_RISE, capped
+        self.scale = max(a * self.scale + (1.0 - a) * target, SCALE_FLOOR)
         return burst
 
     def _coherence_factor(self, err_spec: np.ndarray) -> float:
@@ -395,7 +423,8 @@ class Raec:
                     # a silent block's gradients vanish anyway: keep the
                     # previous step factor
                     if burst is not None:
-                        stage.step_factor = burst * stage._coherence_factor(stage._raw_spec)
+                        stage.coherence = stage._coherence_factor(stage._raw_spec)
+                        stage.step_factor = burst * stage.coherence
                     # the step factor is settled for the block from here on
                     np.multiply(stage.params.mu * stage.step_factor, stage.x_conj,
                                 out=stage._step_conj)

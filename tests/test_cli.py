@@ -13,6 +13,7 @@ from echoforge.audio import AudioBuffer, read_wav, write_wav
 from echoforge.cli import (build_parser, load_corpus_spec, load_run_config,
                            load_tune_config, main)
 from echoforge.config import read_config
+from echoforge.params import default_params
 from echoforge.stft import N_BINS
 from conftest import music_like, speech_like
 
@@ -677,3 +678,14 @@ class TestReadmeConfigBlocks:
         path = tmp_path / f"{kind}.cfg"
         path.write_text(_readme_config_blocks()[kind])
         reader(str(path))
+
+    def test_run_block_states_the_schema_defaults(self, tmp_path):
+        # the run block documents the defaults: every schema parameter it
+        # names is set to its SCHEMA default
+        path = tmp_path / "run.cfg"
+        path.write_text(_readme_config_blocks()["run"])
+        defaults = default_params()
+        named = {key: float(value) for key, value in read_config(str(path)).items()
+                 if key in defaults}
+        assert named
+        assert named == {key: defaults[key] for key in named}

@@ -109,9 +109,9 @@ SEARCH_SPACE = [
     ('raec1.gamma', 'real', 1.5, 0.5, 4.0),
     ('raec1.alpha', 'real', 0.9, 0.5, 0.995),
     ('raec2.frame_size', 'pow2', 256, 64, 1024),
-    ('raec2.partitions', 'int', 4, 1, 16),
+    ('raec2.partitions', 'int', 1, 1, 16),
     ('raec2.iterations', 'int', 2, 1, 4),
-    ('raec2.mu', 'real', 0.5, 0.05, 1.9),
+    ('raec2.mu', 'real', 1.0, 0.05, 1.9),
     ('raec2.gamma', 'real', 1.5, 0.5, 4.0),
     ('raec2.alpha', 'real', 0.9, 0.5, 0.995),
     ('dtp.a01', 'log', 0.01, 0.0001, 0.5),
@@ -182,13 +182,14 @@ class TestBuildPipelineParams:
     def test_defaults_build(self):
         params = build_pipeline_params()
         assert params.raec1.partitions == 8
-        assert params.raec2.partitions == 4
+        assert params.raec2.partitions == 1
+        assert params.raec2.mu == 1.0
         assert params.suppressor.theta1 == pytest.approx(10 ** -0.5)
 
     def test_schema_defaults_equal_stage_defaults(self):
-        # SCHEMA takes each default from its stage field, raec2's partitions aside
+        # SCHEMA takes each default from its stage field, raec2's partitions and mu aside
         assert build_pipeline_params() == PipelineParams(
-            RaecParams(), RaecParams(partitions=4), DtpParams(), RpeParams(),
+            RaecParams(), RaecParams(partitions=1, mu=1.0), DtpParams(), RpeParams(),
             NpeParams(), SuppressorParams(), VadParams())
 
     def test_overrides_apply(self):

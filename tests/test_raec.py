@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from echoforge import raec
 from echoforge.errors import ConfigError, InputError
+from echoforge.params import build_pipeline_params
 from echoforge.raec import Raec, RaecParams, cascade_run, clip_error, run_blocks
 
 FS = 16000
@@ -52,7 +53,10 @@ class TestConvergence:
         assert h[0] == pytest.approx(0.5, abs=0.01)
         assert np.all(np.abs(h[1:]) < 0.01)
 
-    def test_erle_on_random_path_and_cascade_wins(self):
+    # stage 2 as acceptance 02 runs it, and as shipped (params._OWN_DEFAULTS)
+    @pytest.mark.parametrize("stage2", [RaecParams(partitions=4), build_pipeline_params().raec2],
+                             ids=["four_partitions", "shipped"])
+    def test_erle_on_random_path_and_cascade_wins(self, stage2):
         rng = np.random.default_rng(7)
         g = rng.standard_normal(256)
         g /= np.sqrt(np.sum(g**2))
@@ -63,11 +67,38 @@ class TestConvergence:
         e1 = run_blocks(single, x, y)
         erle_single = 10 * np.log10(np.sum(y[-FS:] ** 2) / np.sum(e1[-FS:] ** 2))
 
-        e2 = cascade_run(x, y, RaecParams(), RaecParams(partitions=4))
+        e2 = cascade_run(x, y, RaecParams(), stage2)
         erle_cascade = 10 * np.log10(np.sum(y[-FS:] ** 2) / np.sum(e2[-FS:] ** 2))
 
         assert erle_single >= 20.0
         assert erle_cascade >= erle_single
+
+    def test_reconverges_after_an_echo_path_change(self):
+        # Acceptance 02's input, one second longer, with the 256-tap path
+        # swapped for a second draw at 6 s. Measured on the default cascade,
+        # 0.05-0.95 s windows after the swap: 11.5 dB at +1 s, 27.0 at +2 s,
+        # 45.1 at +4 s (50.3 before the swap). With the robust scale's slow
+        # rise alone the ERLE stays at -3.1 dB; with the fast rise and a
+        # stage 2 of four partitions at mu 0.5 it reads 10.7 dB at +2 s and
+        # 16.1 at +4 s.
+        rng = np.random.default_rng(7)
+        g = rng.standard_normal(256)
+        g /= np.sqrt(np.sum(g**2))
+        x = rng.standard_normal(11 * FS) * 0.1
+        g2 = rng.standard_normal(256)
+        g2 /= np.sqrt(np.sum(g2**2))
+        swap = 6 * FS
+        y = np.convolve(x, g)[: len(x)]
+        y[swap:] = np.convolve(x, g2)[swap: len(x)]
+        defaults = build_pipeline_params()
+        e = cascade_run(x, y, defaults.raec1, defaults.raec2)
+
+        def erle_after(seconds):
+            sl = slice(swap + int((seconds + 0.05) * FS), swap + int((seconds + 0.95) * FS))
+            return 10 * np.log10(np.sum(y[sl] ** 2) / np.sum(e[sl] ** 2))
+
+        assert erle_after(2) >= 20.0
+        assert erle_after(4) >= 40.0
 
     def test_near_end_only_distortion_below_one_percent(self):
         from conftest import speech_like
@@ -202,8 +233,9 @@ def _blocks(n, kinds, seed):
 class PlainRaec:
     """Reference formulation of one stage: every far-end row smoothed anew
     per block, two np.median passes over the error, one transform per
-    error signal, and the clip taken with the scale after this block's
-    update. Raec must match it bit for bit."""
+    error signal, the scale moved with the coherence factor of the block
+    before, and the clip taken with the scale after this block's update.
+    Raec must match it bit for bit."""
 
     def __init__(self, p: RaecParams):
         n, m = p.frame_size, p.partitions
@@ -217,9 +249,10 @@ class PlainRaec:
         self.err_cross = np.zeros((m, n + 1), dtype=complex)
         self.err_power = np.zeros(n + 1)
         self.coh_blocks = 0
+        self.coherence = 0.0
         self.step_factor = 1.0
 
-    def coherence(self, err_spec):
+    def coherence_factor(self, err_spec):
         b = raec.COHERENCE_SMOOTHING
         self.err_cross = b * self.err_cross + (1 - b) * np.conj(self.x_spectra) * err_spec[None, :]
         self.err_power = b * self.err_power + (1 - b) * np.abs(err_spec) ** 2
@@ -248,12 +281,21 @@ class PlainRaec:
                 raw = np.median(np.abs(e)) / raec.MEDIAN_TO_SIGMA
                 if raw > raec.SILENCE_LEVEL:
                     burst = min(1.0, (p.gamma * self.scale / raw) ** 2)
+                    capped = np.median(np.minimum(np.abs(e), p.gamma * self.scale)) \
+                        / raec.MEDIAN_TO_SIGMA
+                    # the scale moves with the coherence factor of the block
+                    # before: at alpha toward the raw median when that factor
+                    # reads a changed echo path
+                    if capped < self.scale:
+                        a, target = p.alpha, capped
+                    elif self.coherence >= raec.PATH_CHANGE_COHERENCE:
+                        a, target = p.alpha, raw
+                    else:
+                        a, target = raec.SCALE_RISE, capped
+                    self.scale = max(a * self.scale + (1.0 - a) * target, raec.SCALE_FLOOR)
                     err_spec = np.fft.rfft(np.concatenate((zeros, e)))
-                    self.step_factor = burst * self.coherence(err_spec)
-                    capped = np.minimum(np.abs(e), p.gamma * self.scale)
-                    raw = np.median(capped) / raec.MEDIAN_TO_SIGMA
-                    a = p.alpha if raw < self.scale else raec.SCALE_RISE
-                    self.scale = max(a * self.scale + (1.0 - a) * raw, raec.SCALE_FLOOR)
+                    self.coherence = self.coherence_factor(err_spec)
+                    self.step_factor = burst * self.coherence
             else:
                 e_adapt = y_block - self.filter()
             err_spec = np.fft.rfft(np.concatenate((zeros, clip_error(e_adapt, self.scale, p))))
