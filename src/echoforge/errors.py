@@ -1,6 +1,6 @@
 """Exception types shared across the package, the field helper that
-declares a stage parameter as a gene, the check that every stage's
-parameter dataclass makes first, and its unit-interval check."""
+declares a stage parameter as a gene with its dB and power-of-two rules,
+and the checks that every stage's parameter dataclass makes."""
 
 import math
 import numbers
@@ -19,15 +19,27 @@ class InputError(EchoforgeError):
     """Invalid runtime input: shape mismatch, non-finite samples, silent signal."""
 
 
+def db_ratio(v: float) -> float:
+    """The linear power ratio of v dB."""
+    return 10.0 ** (v / 10.0)
+
+
+def is_pow2(n) -> bool:
+    """Whether n, an int or a float, is a positive integral power of two."""
+    return float(n).is_integer() and int(n) > 0 and (int(n) & (int(n) - 1)) == 0
+
+
 def gene(default, low, high, kind=None, db=False):
     """A stage dataclass field that is also a gene of `params.SCHEMA`.
 
     default, low and high are the gene's. kind is "log" or "pow2" when the
-    gene is one; otherwise the field's annotation gives it, "int" for an
-    int field and "real" for any other. A db gene is declared in dB, named
-    `<field>_db`, and its field holds the linear ratio 10 ** (v / 10).
+    gene is one, and no other; otherwise the field's annotation gives it,
+    "int" for an int field and "real" for any other. A db gene is declared
+    in dB, named `<field>_db`, and its field holds `db_ratio` of it.
     """
-    value = 10.0 ** (default / 10.0) if db else default
+    if kind not in (None, "log", "pow2"):
+        raise ConfigError(f"unknown gene kind {kind!r}; expected 'log' or 'pow2'")
+    value = db_ratio(default) if db else default
     return field(default=value, metadata={"gene": (default, low, high, kind, db)})
 
 

@@ -51,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ConfigError, InputError, gene, require_finite, require_unit
+from .errors import ConfigError, InputError, gene, is_pow2, require_finite, require_unit
 from .stft import smooth_frames
 
 # NLMS normalization regularizer.
@@ -94,9 +94,8 @@ class RaecParams:
 
     def __post_init__(self):
         require_finite(self)
-        n = self.frame_size
-        if n <= 0 or (n & (n - 1)) != 0:
-            raise ConfigError(f"frame_size must be a power of two, got {n}")
+        if not is_pow2(self.frame_size):
+            raise ConfigError(f"frame_size must be a power of two, got {self.frame_size}")
         if self.partitions < 1:
             raise ConfigError(f"partitions must be >= 1, got {self.partitions}")
         if self.iterations < 1:

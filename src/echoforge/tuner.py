@@ -108,10 +108,8 @@ def _sample_gene(f: Field, lo: float, hi: float, rng: np.random.Generator):
         return int(rng.integers(int(lo), int(hi) + 1))
     if f.kind == "log":
         return float(10.0 ** rng.uniform(math.log10(lo), math.log10(hi)))
-    if f.kind == "pow2":
-        e_lo, e_hi = int(math.log2(lo)), int(math.log2(hi))
-        return int(2 ** rng.integers(e_lo, e_hi + 1))
-    raise ConfigError(f"unknown gene kind {f.kind!r}")
+    e_lo, e_hi = int(math.log2(lo)), int(math.log2(hi))  # pow2, the last kind
+    return int(2 ** rng.integers(e_lo, e_hi + 1))
 
 
 def sample_uniform(bounds: dict, rng: np.random.Generator) -> dict:
@@ -318,7 +316,7 @@ def _enhance_item_to(i: int, pipeline_params, workdir: str):
 def _item_pool(items) -> ProcessPoolExecutor:
     """Fork the item workers now, on the calling thread."""
     if not items:
-        raise ConfigError("no corpus items")
+        raise InputError("no corpus items")
     pool = ProcessPoolExecutor(
         max_workers=min(usable_cores(), len(items)),
         mp_context=multiprocessing.get_context("fork"),

@@ -423,6 +423,22 @@ class TestTuneCommand:
         assert main(["enhance", mic, ref, str(tmp_path / "o.wav"),
                      "--config", str(best)]) == 0
 
+    def test_jobs_leave_config_and_history_unchanged(self, tmp_path, capsys):
+        corpus_dir = _smoke_corpus(tmp_path)
+        capsys.readouterr()
+        ga_cfg = tmp_path / "ga.cfg"
+        ga_cfg.write_text("ga.population = 4\nga.elite = 1\nga.generations = 2\nga.seed = 5\n")
+        written = []
+        for jobs in ("1", "2"):
+            best = tmp_path / f"best{jobs}.cfg"
+            assert main(["tune", str(corpus_dir / "manifest.json"), "--ga-config", str(ga_cfg),
+                         "--out", str(best), "--jobs", jobs]) == 0
+            history = capsys.readouterr().out.split("best parameters written")[0]
+            written.append((best.read_bytes(), history))
+        assert written[0] == written[1]
+        assert written[0][1].startswith(" gen ")
+        assert load_tune_config(ga_cfg, 2)[0].jobs == 2
+
     def test_incumbent_outside_bounds_exit_3_naming_gene(self, tmp_path, capsys):
         corpus_dir = _smoke_corpus(tmp_path)
         ga_cfg = tmp_path / "ga.cfg"

@@ -7,7 +7,7 @@ import pytest
 from echoforge.config import (as_bool, as_float, as_int, as_paths,
                               format_config, parse_config_text)
 from echoforge.dtp import DtpParams
-from echoforge.errors import ConfigError
+from echoforge.errors import ConfigError, gene
 from echoforge.npe import NpeParams
 from echoforge.params import (SCHEMA, STAGES, PipelineParams, build_pipeline_params,
                               default_params, field, validate_params)
@@ -86,6 +86,11 @@ class TestParamSchema:
             assert f.kind in ("real", "int", "log", "pow2"), f.name
             if f.kind == "log":
                 assert f.low > 0, f.name
+
+    def test_unknown_gene_kind_rejected(self):
+        # at import of the stage that declares it, before the tuner draws it
+        with pytest.raises(ConfigError, match="unknown gene kind 'cubic'"):
+            gene(1.0, 0.0, 2.0, "cubic")
 
     def test_field_lookup(self):
         assert field("ns.g_min").kind == "real"

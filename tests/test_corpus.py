@@ -314,14 +314,21 @@ class TestGeneration:
         generate_corpus(spec, 2, tmp_path / "ok", base_dir=str(tmp_path))
         assert read_manifest(tmp_path / "ok" / "manifest.json")["sample_rate"] == FS
 
+    def test_empty_ir_list_rejected(self):
+        with pytest.raises(ConfigError, match="empty impulse-response list"):
+            corpus.load_irs([])
+
     def test_unknown_noise_type_rejected(self, corpus_sources):
         with pytest.raises(ConfigError, match="traffic"):
             make_corpus_spec(corpus_sources,
                              noise_files={"traffic": tuple(corpus_sources["noise"])})
 
     def test_spec_validation(self, corpus_sources):
-        with pytest.raises(ConfigError):
-            make_corpus_spec(corpus_sources, speech_files=())
+        for empty, what in (({"speech_files": ()}, "speech"), ({"music_files": ()}, "music"),
+                            ({"noise_files": {}}, "background noise"),
+                            ({"noise_files": {"babble": ()}}, "background noise")):
+            with pytest.raises(ConfigError, match=f"at least one {what} file"):
+                make_corpus_spec(corpus_sources, **empty)
         with pytest.raises(ConfigError):
             make_corpus_spec(corpus_sources, ser_range_db=(-5.0, -10.0))
         with pytest.raises(ConfigError):

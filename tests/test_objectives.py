@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from echoforge.corpus import generate_corpus, read_manifest
+from echoforge.errors import InputError
 from echoforge.metrics import segmental_snr_improvement
 from echoforge.params import build_pipeline_params, default_params
 from echoforge.pipeline import process_stream
@@ -120,6 +121,11 @@ class TestItemPool:
         assert results[0].best_params == results[1].best_params
         assert results[0].best_score == results[1].best_score
         assert results[0].history == results[1].history
+
+    def test_no_items_is_an_input_error(self):
+        # as `tune` reports an empty manifest: exit 2, not a configuration error
+        with pytest.raises(InputError, match="no corpus items"):
+            signal_fidelity_objective([])
 
     def test_one_worker_per_core_at_most_one_per_item(self, small_corpus):
         items = _load_items(small_corpus)

@@ -399,6 +399,12 @@ class TestErle:
         assert len(vals) == 2
         assert np.allclose(vals, 10 * np.log10(4))
 
+    @pytest.mark.parametrize("window", [0, -FS])
+    def test_window_of_no_samples_rejected(self, window):
+        x = speech_like(1.0, seed=25)
+        with pytest.raises(InputError, match="window must be positive"):
+            erle_windows(x, x / 2, window)
+
 
 class TestSegmentalSnr:
     def test_exact_match_hits_ceiling(self):
@@ -412,3 +418,8 @@ class TestSegmentalSnr:
         test = ref + err * 0.1
         # per-segment 10log10(ref/err) fluctuates around 20 dB
         assert segmental_snr(ref, test) == pytest.approx(20.0, abs=2.0)
+
+    def test_length_mismatch_rejected(self):
+        x = speech_like(1.0, seed=26)
+        with pytest.raises(InputError, match="length mismatch"):
+            segmental_snr(x, x[:-1])

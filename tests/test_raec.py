@@ -53,7 +53,8 @@ class TestConvergence:
         assert h[0] == pytest.approx(0.5, abs=0.01)
         assert np.all(np.abs(h[1:]) < 0.01)
 
-    # stage 2 as acceptance 02 runs it, and as shipped (params._OWN_DEFAULTS)
+    # stage 2 as acceptance 02 runs it, and as shipped (the defaults on
+    # PipelineParams.raec2)
     @pytest.mark.parametrize("stage2", [RaecParams(partitions=4), build_pipeline_params().raec2],
                              ids=["four_partitions", "shipped"])
     def test_erle_on_random_path_and_cascade_wins(self, stage2):
@@ -167,6 +168,8 @@ class TestContracts:
             RaecParams(gamma=0.0)
         with pytest.raises(ConfigError):
             RaecParams(partitions=0)
+        with pytest.raises(ConfigError, match="iterations"):
+            RaecParams(iterations=0)
 
     def test_stack_needs_one_block_size_and_iteration_count(self):
         for other in (RaecParams(frame_size=128), RaecParams(iterations=3)):

@@ -311,3 +311,5 @@ class TestWavIO:
             AudioBuffer(np.array([0.0, np.nan]), FS)
         with pytest.raises(InputError):
             AudioBuffer(np.zeros(4), 0)
+        with pytest.raises(InputError, match="expected mono signal"):
+            AudioBuffer(np.zeros((4, 2)), FS)

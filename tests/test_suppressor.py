@@ -185,6 +185,10 @@ class TestMask:
         with pytest.raises(ConfigError):
             SuppressorParams(theta1=2.0, theta2=1.0)
 
+    def test_negative_mask_alpha_rejected(self):
+        with pytest.raises(ConfigError, match="mask_alpha must be >= 0"):
+            SuppressorParams(mask_alpha=-1.0)
+
 
 def _noise_frame(rng):
     return rng.standard_normal(N_BINS) + 1j * rng.standard_normal(N_BINS)

@@ -193,6 +193,9 @@ class TestGaRun:
         bounds["raec1.mu"] = (f.low, f.high + 10)
         with pytest.raises(ConfigError, match="raec1.mu"):
             validate_bounds(bounds)
+        bounds["raec1.mu"] = (0.7, 0.3)
+        with pytest.raises(ConfigError, match="raec1.mu: bound lo 0.7 > hi 0.3"):
+            validate_bounds(bounds)
 
     @pytest.mark.parametrize("theta1_min,theta2_max", [(5.0, 0.0), (0.0, 0.0)])
     def test_theta_bounds_without_an_ordered_pair_rejected(self, theta1_min, theta2_max):
@@ -252,3 +255,6 @@ class TestGaRun:
                 GaConfig(mutation_scale=scale)
         with pytest.raises(ConfigError, match="seed"):
             GaConfig(seed=-1)
+        for bad in ({"tournament": 0}, {"jobs": 0}):
+            with pytest.raises(ConfigError, match="tournament and jobs must be >= 1"):
+                GaConfig(**bad)
