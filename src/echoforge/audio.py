@@ -45,10 +45,6 @@ class AudioBuffer:
     def __len__(self) -> int:
         return len(self.samples)
 
-    @property
-    def duration(self) -> float:
-        return len(self.samples) / self.sample_rate
-
     def energy(self) -> float:
         return float(np.sum(self.samples**2))
 

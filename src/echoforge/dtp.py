@@ -12,8 +12,8 @@ turns the per-frame coherence into a probability of double talk:
 * b01/b10 drive a coherence-threshold hysteresis comparator whose active
   state pins the evidence high until the coherence clearly recovers (an
   interpretation: the comparator enters below coherence b01 and leaves
-  above 1 - b10, debounced over the tau time constant so single frames
-  cannot latch it).
+  above 1 - b10, debounced over tau seconds, counted in STFT hops of
+  16 ms, so single frames cannot latch it).
 
 The probability is smoothed with beta and starts at the uninformative 0.5.
 """
@@ -40,8 +40,7 @@ class DtpParams:
     beta: float = gene(0.7, 0.0, 0.99)      # probability smoothing
     k_begin: int = gene(10, 0, 64)          # coherence band start: bin 10 = 312.5 Hz
     k_end: int = gene(109, 65, 256)         # coherence band end: bin 109 = 3406.25 Hz
-    frame_duration: float = gene(HOP / SAMPLE_RATE, 0.004, 0.064)  # seconds per frame hop
-    tau: float = gene(0.1, 0.01, 1.0, "log")  # hysteresis debounce time constant, seconds
+    tau: float = gene(0.1, 0.01, 1.0, "log")  # debounce, seconds; counted in 16 ms STFT hops
 
     def __post_init__(self):
         require_finite(self)
@@ -50,12 +49,12 @@ class DtpParams:
         if not 0 <= self.k_begin < self.k_end <= N_BINS - 1:
             raise ConfigError(f"need 0 <= k_begin < k_end <= {N_BINS - 1}, "
                               f"got [{self.k_begin}, {self.k_end}]")
-        if self.frame_duration <= 0 or self.tau <= 0:
-            raise ConfigError("frame_duration and tau must be positive")
+        if self.tau <= 0:
+            raise ConfigError(f"tau must be positive, got {self.tau}")
 
     def debounce_frames(self) -> int:
-        """Frames the comparator condition must persist, from tau."""
-        return max(1, round(self.tau / self.frame_duration))
+        """Frames the comparator condition must persist: tau in STFT hops."""
+        return max(1, round(self.tau / (HOP / SAMPLE_RATE)))
 
 
 class DtpEstimator:

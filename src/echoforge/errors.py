@@ -25,8 +25,8 @@ def db_ratio(v: float) -> float:
 
 
 def is_pow2(n) -> bool:
-    """Whether n, an int or a float, is a positive integral power of two."""
-    return float(n).is_integer() and int(n) > 0 and (int(n) & (int(n) - 1)) == 0
+    """Whether n, a finite int or float, is a positive integral power of two."""
+    return int(n) == n > 0 and (int(n) & (int(n) - 1)) == 0
 
 
 def gene(default, low, high, kind=None, db=False):
@@ -47,10 +47,12 @@ def require_finite(params) -> None:
     """ConfigError naming the first field of a parameter dataclass that is
     numeric but NaN or infinite, or annotated int but not an integer, so
     that the stage's own range checks, which NaN passes and infinity can
-    meet, see finite values only, and its arrays integral sizes."""
+    meet, see finite values only, and its arrays integral sizes. An int,
+    however large, is finite."""
     for f in fields(params):
         value = getattr(params, f.name)
-        if isinstance(value, numbers.Real) and not math.isfinite(value):
+        if (isinstance(value, numbers.Real) and not isinstance(value, numbers.Integral)
+                and not math.isfinite(value)):
             raise ConfigError(f"{f.name} must be finite, got {value}")
         if f.type == "int" and not isinstance(value, numbers.Integral):
             raise ConfigError(f"{f.name} must be an integer, got {value}")

@@ -5,9 +5,10 @@ so the same flat dictionary serves the config files, the CLI and the
 genetic tuner. Each gene is declared once, on its stage dataclass field
 (`errors.gene`), with its default, its bounds and, when it is one, its
 ``log`` or ``pow2`` kind. The fields of PipelineParams are the stages;
-a field's metadata may give its gene prefix (``ns``, the suppressor's)
-and gene defaults of its own (stage 2's). STAGES and SCHEMA are derived
-from them; SCHEMA's order, stage then field, is the tuner's draw order.
+a field's metadata may give its gene prefix (``ns``, the suppressor's),
+its own gene defaults and the fields it takes from stage 1 (stage 2's).
+STAGES and SCHEMA are derived from them; SCHEMA's order, stage then
+field, is the tuner's draw order.
 Kinds drive how the tuner samples and mutates a gene: ``real`` and ``int``
 are uniform in the bound interval, ``log`` works in log10 space, ``pow2``
 walks power-of-two exponents. Gene ``<prefix>.<name>`` sets field ``name``
@@ -43,7 +44,9 @@ class PipelineParams:
     # long-slow/short-fast pair (raec.py): one partition at twice stage 1's
     # step. It retracks a changed echo path sooner than four partitions at
     # stage 1's step, and the stacked filter holds 9 weight rows instead of 12.
-    raec2: RaecParams = dataclasses.field(metadata={"defaults": {"partitions": 1, "mu": 1.0}})
+    # It runs in stage 1's block loop on stage 1's frame_size and iterations.
+    raec2: RaecParams = dataclasses.field(metadata={
+        "defaults": {"partitions": 1, "mu": 1.0}, "shared": ("frame_size", "iterations")})
     dtp: DtpParams
     rpe: RpeParams
     npe: NpeParams
@@ -65,7 +68,7 @@ def _genes(stage: dataclasses.Field) -> list[Field]:
     own_defaults = stage.metadata.get("defaults", {})
     genes = []
     for f in fields(stage.type):
-        if "gene" not in f.metadata:
+        if "gene" not in f.metadata or f.name in stage.metadata.get("shared", ()):
             continue
         default, low, high, kind, db = f.metadata["gene"]
         name = f"{_prefix(stage)}.{f.name}" + ("_db" if db else "")
@@ -128,6 +131,9 @@ def build_pipeline_params(overrides: dict | None = None,
         if name.endswith("_db"):
             name, value = name.removesuffix("_db"), db_ratio(value)
         kwargs[prefix][name] = value
+    for stage in fields(PipelineParams):
+        for name in stage.metadata.get("shared", ()):
+            kwargs[_prefix(stage)][name] = kwargs["raec1"][name]
     if kwargs["ns"]["theta1"] >= kwargs["ns"]["theta2"]:
         low, high = THETA_PAIR
         raise ConfigError(f"need theta1 < theta2, got {low}={p[low]} >= {high}={p[high]}")

@@ -1,24 +1,23 @@
 """End-to-end enhancement: cancel, estimate, suppress, detect.
 
 Per stream: the cascaded echo canceler runs on its own block size over
-the time-domain signals, both stages in one block loop when they share
-it and their iteration count (see `raec.cascade_run`). The frames of the
-shared frame clock are then walked in chunks of CHUNK_FRAMES: each
-chunk's spectra of the mic Y, the reference and the cleaned error E are
-analysed, Y - E being the echo estimate's, and passed through
-double-talk probability, the two residual echo power trackers, noise
-power estimation, the masking suppressor and the voice activity
-detector. Within a chunk, each stage computes what needs no earlier
-output as array operations and runs only its own recursion frame by
-frame, so the output does not depend on the chunk size. Everything is
-deterministic given inputs and parameters; the per-stream estimator
-state (held inside process_stream) is strictly sequential and never
-shared between streams.
+the time-domain signals, both stages in one block loop (see
+`raec.cascade_run`). The frames of the shared frame clock are then
+walked in chunks of CHUNK_FRAMES: each chunk's spectra of the mic Y, the
+reference and the cleaned error E are analysed, Y - E being the echo
+estimate's, and passed through double-talk probability, the two residual
+echo power trackers, noise power estimation, the masking suppressor and
+the voice activity detector. Within a chunk, each stage computes what
+needs no earlier output as array operations and runs only its own
+recursion frame by frame, so the output does not depend on the chunk
+size. Everything is deterministic given inputs and parameters; the
+per-stream estimator state (held inside process_stream) is strictly
+sequential and never shared between streams.
 
 Memory: no whole-stream spectrogram of an input is built, and synthesis
 inverse-transforms a chunk of frames at a time. The inputs are copied
-only to zero-pad the shorter one and, once per canceler stack, to
-zero-pad a stream that is not a whole number of that stack's blocks.
+only to zero-pad the shorter one and, once in the canceler, to
+zero-pad a stream that is not a whole number of its blocks.
 What grows with the stream is the canceler's error and the enhanced
 frames (N_BINS complex values per hop, about twice one input's float64
 size). The peak is in the frame loop, which holds both: about 3.3 times

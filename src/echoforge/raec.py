@@ -38,10 +38,8 @@ work buffers made once per stack. The stages' weights are rows of one
 array, so each block makes the same transforms whatever the stage count:
 one inverse transform for all echo estimates, one transform for all
 errors, and one gradient constraint over all partitions. A stack maps
-the microphone signal to its last stage's error alone, and so does
-`cascade_run`: it runs two stages as one stack when they share the block
-size and iteration count (the defaults do), else as two one-stage stacks
-in turn; both give the bits of the stages run one after the other.
+the microphone signal to its last stage's error alone; `cascade_run`
+runs the cascade as one stack, on stage 1's block size and iterations.
 """
 
 from __future__ import annotations
@@ -260,16 +258,16 @@ class Raec:
     """A stack of adaptive stages run in one block loop. Strictly
     sequential per stream; never share.
 
-    `Raec(p)` is one stage; `Raec(p1, p2, ...)` chains stages that share
-    frame_size and iterations, each filtering the same far-end reference
-    and cancelling what the stage before it left behind: stage s takes the
-    error of stage s - 1 for the same block, formed before either stage's
-    update, so the stack gives the bits of the stages run one after the
-    other, with the latency of one block. The stages' weights are rows of
-    one (M1 + M2 + ...)-row array, so each transform and the gradient step
-    run once per block over all of them; each stage keeps its own power
-    table, normalization, robust scale, step factor and coherence trackers
-    (`stages`).
+    `Raec(p)` is one stage; `Raec(p1, p2, ...)` chains stages that must
+    share frame_size and iterations, else ConfigError, each filtering the
+    same far-end reference and cancelling what the stage before it left
+    behind: stage s takes the error of stage s - 1 for the same block,
+    formed before either stage's update, so the stack gives the bits of the
+    stages run one after the other, with the latency of one block. The
+    stages' weights are rows of one (M1 + M2 + ...)-row array, so each
+    transform and the gradient step run once per block over all of them;
+    each stage keeps its own power table, normalization, robust scale, step
+    factor and coherence trackers (`stages`).
 
     `process` is the entry point. It splits its input into chunks of up to
     CHUNK blocks and, for each chunk, builds the far-end table in one
@@ -455,18 +453,13 @@ class Raec:
 
 def cascade_run(x: np.ndarray, y: np.ndarray, params1: RaecParams,
                 params2: RaecParams):
-    """Full-signal two-stage cancellation.
-
-    The second stage cancels what the first left behind. Stages that share
-    frame_size and iterations (the defaults do) run as one `Raec` stack,
-    one block loop over both, and the cascade keeps the latency of one
-    block; otherwise each runs as its own one-stage stack on its own block
-    size, the second on the first's whole output. Both ways give the same
-    bits. Returns the cascade's error e alone; its echo estimate is y - e.
+    """Full-signal two-stage cancellation: one `Raec` stack, one block loop
+    over both stages, with the latency of one block. The second stage
+    cancels what the first left behind; the two must share frame_size and
+    iterations. Returns the cascade's error e alone; its echo estimate is
+    y - e.
     """
-    if (params1.frame_size, params1.iterations) == (params2.frame_size, params2.iterations):
-        return run_blocks(Raec(params1, params2), x, y)
-    return run_blocks(Raec(params2), x, run_blocks(Raec(params1), x, y))
+    return run_blocks(Raec(params1, params2), x, y)
 
 
 def pad_to(signal: np.ndarray, length: int) -> np.ndarray:

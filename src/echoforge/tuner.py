@@ -101,6 +101,10 @@ def validate_bounds(bounds: dict) -> None:
             f"{bounds[high][1]}: no candidate can have {low} < {high}")
 
 
+def _pow2_exponents(lo: float, hi: float) -> tuple[int, int]:
+    return int(math.log2(lo)), int(math.log2(hi))
+
+
 def _sample_gene(f: Field, lo: float, hi: float, rng: np.random.Generator):
     if f.kind == "real":
         return float(rng.uniform(lo, hi))
@@ -108,7 +112,7 @@ def _sample_gene(f: Field, lo: float, hi: float, rng: np.random.Generator):
         return int(rng.integers(int(lo), int(hi) + 1))
     if f.kind == "log":
         return float(10.0 ** rng.uniform(math.log10(lo), math.log10(hi)))
-    e_lo, e_hi = int(math.log2(lo)), int(math.log2(hi))  # pow2, the last kind
+    e_lo, e_hi = _pow2_exponents(lo, hi)  # pow2, the last kind
     return int(2 ** rng.integers(e_lo, e_hi + 1))
 
 
@@ -134,7 +138,7 @@ def mutate(params: dict, bounds: dict, rate: float, scale: float,
             span = math.log10(hi) - math.log10(lo)
             v = float(np.clip(v * 10.0 ** (rng.uniform(-1, 1) * scale * span), lo, hi))
         elif f.kind == "pow2":
-            e_lo, e_hi = int(math.log2(lo)), int(math.log2(hi))
+            e_lo, e_hi = _pow2_exponents(lo, hi)
             e = int(np.clip(round(math.log2(v) + rng.uniform(-1, 1) * scale
                                   * (e_hi - e_lo)), e_lo, e_hi))
             v = 2 ** e

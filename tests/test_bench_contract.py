@@ -36,7 +36,7 @@ def test_every_wrapped_name_exists_and_is_restored():
     assert pipeline.synthesize is synthesize
 
 
-def _traced_stream(params=None):
+def _traced_stream():
     """(tracer, mic, result) of one traced process_stream on a 1 s item."""
     spans = _spans_module()
     tracer = spans.Tracer()
@@ -44,7 +44,7 @@ def _traced_stream(params=None):
     mic = AudioBuffer(2.0 * ref + speech_like(1.0, seed=91, rms=0.1))
     try:
         spans.install_echoforge(tracer)
-        result = pipeline.process_stream(mic, AudioBuffer(ref), params)
+        result = pipeline.process_stream(mic, AudioBuffer(ref))
     finally:
         tracer.uninstall()
     return tracer, mic, result
@@ -67,8 +67,8 @@ def test_traced_stream_reaches_every_stage():
             "rpe.update_low", "rpe.combine", "npe.update",
             "suppressor.process_frame", "vad.statistic", "vad.decide",
             "vad.segments"} <= names
-    # At the defaults the two stages share a block size and iteration count,
-    # so cascade_run runs them as one stack: one run_blocks span per cascade
+    # The two stages share stage 1's block size and iteration count, and
+    # cascade_run runs them as one stack: one run_blocks span per cascade
     # and one raec.block span per block of the shared size, each making the
     # 8 transforms of a block.
     params = build_pipeline_params()
@@ -88,14 +88,3 @@ def test_traced_stream_reaches_every_stage():
         [len(result.segments)]
     assert np.all(np.isfinite(result.enhanced.samples))
 
-
-def test_traced_stream_with_unshared_block_sizes():
-    # Stages on different block sizes run one after the other, each its own
-    # stack: a stage span each, with one raec.block per block of its size.
-    params = build_pipeline_params({"raec1.frame_size": 512, "raec2.frame_size": 128})
-    tracer, mic, result = _traced_stream(params)
-    assert [s.name for s in tracer.spans if s.name.startswith("raec.stage")] == \
-        ["raec.stage1", "raec.stage2"]
-    assert _blocks_per_stage(tracer) == {"raec.stage1": -(-len(mic) // 512),
-                                         "raec.stage2": -(-len(mic) // 128)}
-    assert np.all(np.isfinite(result.enhanced.samples))

@@ -57,14 +57,19 @@ class TestEnhance:
         assert code == 3
         assert "theta" in capsys.readouterr().err
 
-    def test_unknown_config_key_exit_3(self, wav_pair, tmp_path, capsys):
+    # stage 2 takes stage 1's block size and iteration count, and the DTP
+    # debounce counts STFT hops: none of the last three is a gene
+    @pytest.mark.parametrize("key, value", [
+        ("raec1.warp", 1.0), ("raec2.frame_size", 256), ("raec2.iterations", 2),
+        ("dtp.frame_duration", 0.016)])
+    def test_unknown_config_key_exit_3(self, wav_pair, tmp_path, capsys, key, value):
         mic, ref = wav_pair
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text("raec1.warp = 1.0\n")
+        cfg.write_text(f"{key} = {value}\n")
         code = main(["enhance", mic, ref, str(tmp_path / "out.wav"),
                      "--config", str(cfg)])
         assert code == 3
-        assert "raec1.warp" in capsys.readouterr().err
+        assert f"unknown parameter {key!r}" in capsys.readouterr().err
 
     def test_stft_key_exit_3_naming_it(self, wav_pair, tmp_path, capsys):
         mic, ref = wav_pair

@@ -113,9 +113,7 @@ SEARCH_SPACE = [
     ('raec1.mu', 'real', 0.5, 0.05, 1.9),
     ('raec1.gamma', 'real', 1.5, 0.5, 4.0),
     ('raec1.alpha', 'real', 0.9, 0.5, 0.995),
-    ('raec2.frame_size', 'pow2', 256, 64, 1024),
     ('raec2.partitions', 'int', 1, 1, 16),
-    ('raec2.iterations', 'int', 2, 1, 4),
     ('raec2.mu', 'real', 1.0, 0.05, 1.9),
     ('raec2.gamma', 'real', 1.5, 0.5, 4.0),
     ('raec2.alpha', 'real', 0.9, 0.5, 0.995),
@@ -127,7 +125,6 @@ SEARCH_SPACE = [
     ('dtp.beta', 'real', 0.7, 0.0, 0.99),
     ('dtp.k_begin', 'int', 10, 0, 64),
     ('dtp.k_end', 'int', 109, 65, 256),
-    ('dtp.frame_duration', 'real', 0.016, 0.004, 0.064),
     ('dtp.tau', 'log', 0.1, 0.01, 1.0),
     ('rpe.partitions_high', 'int', 4, 1, 8),
     ('rpe.partitions_low', 'int', 2, 1, 8),
@@ -174,6 +171,13 @@ class TestStageParamsInteger:
     def test_every_int_field_listed(self):
         assert len(STAGE_INT_FIELDS) == 8
 
+    @pytest.mark.parametrize("cls, name, value", [(RaecParams, "frame_size", 2**1100),
+                                                  (VadParams, "hangover", 10**400)],
+                             ids=["RaecParams.frame_size", "VadParams.hangover"])
+    def test_int_too_large_for_a_float_accepted(self, cls, name, value):
+        # an int is finite however large: no OverflowError from the float check
+        assert getattr(cls(**{name: value}), name) == value
+
     @pytest.mark.parametrize("cls, name", STAGE_INT_FIELDS,
                              ids=[f"{cls.__name__}.{name}" for cls, name in STAGE_INT_FIELDS])
     def test_non_integral_value_rejected_by_name(self, cls, name):
@@ -198,9 +202,12 @@ class TestBuildPipelineParams:
             NpeParams(), SuppressorParams(), VadParams())
 
     def test_overrides_apply(self):
-        params = build_pipeline_params({"raec1.mu": 0.25, "vad.hangover": 3})
+        params = build_pipeline_params({"raec1.mu": 0.25, "vad.hangover": 3,
+                                        "raec1.frame_size": 128, "raec1.iterations": 3})
         assert params.raec1.mu == 0.25
         assert params.vad.hangover == 3
+        # stage 2 takes stage 1's block size and iteration count
+        assert (params.raec2.frame_size, params.raec2.iterations) == (128, 3)
 
     def test_threshold_order_checked_by_name(self):
         with pytest.raises(ConfigError, match="theta"):
@@ -214,10 +221,11 @@ class TestBuildPipelineParams:
 def _explicit_build(p: dict, cap_at_unity: bool = False) -> PipelineParams:
     """Reference: every gene written out by hand, as the builder once was."""
     def raec(prefix: str) -> RaecParams:
+        # stage 2 runs on stage 1's block size and iteration count
         return RaecParams(
-            frame_size=int(p[f"{prefix}.frame_size"]),
+            frame_size=int(p["raec1.frame_size"]),
             partitions=int(p[f"{prefix}.partitions"]),
-            iterations=int(p[f"{prefix}.iterations"]),
+            iterations=int(p["raec1.iterations"]),
             mu=p[f"{prefix}.mu"],
             gamma=p[f"{prefix}.gamma"],
             alpha=p[f"{prefix}.alpha"],
@@ -237,7 +245,7 @@ def _explicit_build(p: dict, cap_at_unity: bool = False) -> PipelineParams:
             b01=p["dtp.b01"], b10=p["dtp.b10"],
             alpha=p["dtp.alpha"], beta=p["dtp.beta"],
             k_begin=int(p["dtp.k_begin"]), k_end=int(p["dtp.k_end"]),
-            frame_duration=p["dtp.frame_duration"], tau=p["dtp.tau"],
+            tau=p["dtp.tau"],
         ),
         rpe=RpeParams(
             partitions_high=int(p["rpe.partitions_high"]),
@@ -299,7 +307,9 @@ class TestSchemaRule:
             set_by[STAGES[prefix][0], name.removesuffix("_db")] += 1
         stage_fields = {(attr, stage_field.name) for attr, cls in STAGES.values()
                         for stage_field in fields(cls)}
-        assert set(set_by) == stage_fields - {("suppressor", "cap_at_unity")}
+        # stage 1's genes set stage 2's block size and iteration count
+        shared = {("raec2", "frame_size"), ("raec2", "iterations")}
+        assert set(set_by) == stage_fields - {("suppressor", "cap_at_unity")} - shared
         assert set(set_by.values()) == {1}
         assert [attr for attr, _ in STAGES.values()] == \
             [f.name for f in fields(PipelineParams)]

@@ -62,8 +62,7 @@ class TestSignalFidelityObjective:
         objective = signal_fidelity_objective(items)
         good = objective(default_params())
         broken = dict(default_params())
-        broken.update({"raec1.mu": 0.05, "raec2.mu": 0.05,
-                       "raec1.iterations": 1, "raec2.iterations": 1,
+        broken.update({"raec1.mu": 0.05, "raec2.mu": 0.05, "raec1.iterations": 1,
                        "ns.g_min": 1.0, "ns.theta1_db": 10.0,
                        "ns.theta2_db": 30.0})
         assert good > objective(broken)
@@ -95,8 +94,8 @@ def _workers_started_by(build):
     return built, [p for p in multiprocessing.active_children() if p not in before]
 
 
-OFF_DEFAULT = {"raec1.frame_size": 128, "raec1.partitions": 5, "raec2.frame_size": 512,
-               "raec2.iterations": 3, "dtp.a01": 0.003, "rpe.partitions_low": 3,
+OFF_DEFAULT = {"raec1.frame_size": 128, "raec1.partitions": 5, "raec1.iterations": 3,
+               "dtp.a01": 0.003, "rpe.partitions_low": 3,
                "ns.g_min": 0.25, "ns.theta1_db": -8.0, "vad.hangover": 3}
 
 

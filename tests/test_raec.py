@@ -552,11 +552,8 @@ class TestStack:
 
         monkeypatch.setattr(Raec, "__init__", spy)
         x = np.random.default_rng(43).standard_normal(FS // 4) * 0.1
-        for p2, expected in ((RaecParams(partitions=4), [2]),
-                             (RaecParams(frame_size=128), [1, 1]),
-                             (RaecParams(iterations=1), [1, 1])):
-            stacks.clear()
-            e = cascade_run(x, 0.5 * x, RaecParams(), p2)
-            assert stacks == expected
-            assert np.array_equal(e, run_blocks(Raec(p2), x, run_blocks(Raec(RaecParams()), x,
-                                                                        0.5 * x)))
+        p2 = RaecParams(partitions=4)
+        e = cascade_run(x, 0.5 * x, RaecParams(), p2)
+        assert stacks == [2]
+        assert np.array_equal(e, run_blocks(Raec(p2), x, run_blocks(Raec(RaecParams()), x,
+                                                                    0.5 * x)))

@@ -203,7 +203,6 @@ class TestConfig:
 
     def test_schema_defaults_match_the_clock(self):
         assert (SAMPLE_RATE, FRAME_LEN, HOP, N_BINS) == (16000, 512, 256, 257)
-        assert DtpParams().frame_duration == HOP / SAMPLE_RATE
         assert DtpParams().k_end < N_BINS
         assert VadParams().threshold == pytest.approx(0.15 * N_BINS)
         # constant overlap-add: squared window halves sum to one
